@@ -5,6 +5,9 @@ experiment {success, ratio, min-k, real-sweep}. Profiles on disk always use
 the classic PrefLib layout, synthetic ones included. Every randomized
 command requires an explicit --seed. CSV goes to stdout or --out; exit code
 2 for usage/parse/file errors, 1 for domain errors.
+
+Grid options take a comma list or an inclusive 'a:b[:c]' range (--phi: lists
+only); a Mallows experiment runs its (phi, n) cells phi outer, n inner.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import bounds as bounds_mod
 from . import experiments as exp
@@ -38,14 +42,37 @@ from .preflib import (
 from .rules import RuleId, RuleParseError, apply_rule, completion_score, parse_rule, scoring_vector
 
 
+class UsageError(ValueError):
+    """Option values that parse but that the command cannot use."""
+
+
+def _parse_list(text: str, convert: Callable = float) -> list:
+    """argparse type: a non-empty comma list, of floats unless ``convert`` says otherwise."""
+    try:
+        values = [convert(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of {convert.__name__}s, got {text!r}"
+        ) from None
+    if not values:
+        raise argparse.ArgumentTypeError("empty list")
+    return values
+
+
 def _parse_int_list(text: str) -> list[int]:
-    """Comma list '1,2,3' or inclusive range 'start:stop[:step]'."""
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        start, stop = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-        return list(range(start, stop + 1, step))
-    return [int(p) for p in text.split(",") if p.strip()]
+    """argparse type: comma list '1,2,3' or inclusive range 'start:stop[:step]'."""
+    if ":" not in text:
+        return _parse_list(text, int)
+    parts = text.split(":")
+    if len(parts) == 2:
+        parts.append("1")
+    try:
+        start, stop, step = map(int, parts)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"a range is start:stop[:step], got {text!r}") from None
+    if step < 1 or start > stop:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: needs start <= stop, step >= 1")
+    return list(range(start, stop + 1, step))
 
 
 def _parse_tiebreak(text: str | None, m: int) -> TieBreak:
@@ -80,10 +107,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _write_rows(rows: list[dict], columns, out: str | None) -> None:
-    if out is None:
-        exp.write_csv(rows, sys.stdout, columns)
-    else:
-        exp.write_csv(rows, out, columns)
+    exp.write_csv(rows, sys.stdout if out is None else out, columns)
 
 
 def _cmd_winner(args) -> int:
@@ -156,8 +180,8 @@ def _cmd_bounds(args) -> int:
     rule = parse_rule(args.rule)
     if args.csv:
         rows = []
-        for m in _parse_int_list(args.m):
-            for k in _parse_int_list(args.k):
+        for m in args.m:
+            for k in args.k:
                 bound = _bounds_for(rule, m, k)
                 row = {
                     "rule": rule.label,
@@ -175,8 +199,9 @@ def _cmd_bounds(args) -> int:
                 rows.append(row)
         _write_rows(rows, ("rule", "m", "k", "lower", "upper", "attained"), args.out)
         return 0
-    (m,), (k,) = _parse_int_list(args.m), _parse_int_list(args.k)
-    bound = _bounds_for(rule, m, k)
+    if len(args.m) != 1 or len(args.k) != 1:
+        raise UsageError("--m and --k need one value each without --csv")
+    bound = _bounds_for(rule, args.m[0], args.k[0])
     print(f"lower={_fmt_ratio(bound.lower)} upper={_fmt_ratio(bound.upper)}")
     return 0
 
@@ -199,44 +224,39 @@ def _cmd_parse_check(args) -> int:
     return 0
 
 
-def _mallows_config(args) -> exp.ExperimentConfig:
-    source = exp.MallowsSource(args.m, args.n, args.phi)
-    return exp.ExperimentConfig(
-        source,
-        _parse_rules(args.rule),
-        tuple(_parse_int_list(args.k)),
-        args.trials,
-        args.seed,
-        _parse_tiebreak(args.tiebreak, args.m),
-        args.ties,
-    )
+_MALLOWS_MODES = {
+    "success": (exp.run_success_rate, exp.SUCCESS_COLUMNS),
+    "ratio": (exp.run_ratio, exp.RATIO_COLUMNS),
+    "min-k": (exp.min_k_search, exp.MIN_K_COLUMNS),
+}
+
+
+def _mallows_configs(args) -> list[exp.ExperimentConfig]:
+    """One config per (phi, n) cell, phi outer and n inner."""
+    rules, tb = _parse_rules(args.rule), _parse_tiebreak(args.tiebreak, args.m)
+    k_values = tuple(args.k or range(1, args.m))  # min-k defaults to 1..m-1
+    return [
+        exp.ExperimentConfig(
+            exp.MallowsSource(args.m, n, phi), rules, k_values, args.trials, args.seed, tb,
+            args.ties,
+        )
+        for phi in args.phi
+        for n in args.n
+    ]
 
 
 def _cmd_experiment(args) -> int:
-    if args.mode == "success":
-        rows = exp.run_success_rate(_mallows_config(args), args.workers)
-        _write_rows(rows, exp.SUCCESS_COLUMNS, args.out)
-    elif args.mode == "ratio":
-        rows = exp.run_ratio(_mallows_config(args), args.workers)
-        _write_rows(rows, exp.RATIO_COLUMNS, args.out)
-    elif args.mode == "min-k":
-        args.k = args.k or f"1:{args.m - 1}"
-        rows = exp.min_k_search(_mallows_config(args), args.workers)
-        _write_rows(rows, exp.MIN_K_COLUMNS, args.out)
-    else:  # real-sweep
+    if args.mode == "real-sweep":
         ds = load(args.data)
         rows = exp.sweep_real_data(
-            ds,
-            _parse_int_list(args.n_star),
-            _parse_int_list(args.k),
-            _parse_rules(args.rule),
-            args.trials,
-            args.seed,
-            _parse_tiebreak(args.tiebreak, ds.m),
-            args.workers,
-            ties=args.ties,
+            ds, args.n_star, args.k, _parse_rules(args.rule), args.trials, args.seed,
+            _parse_tiebreak(args.tiebreak, ds.m), args.workers, ties=args.ties,
         )
         _write_rows(rows, exp.REAL_SWEEP_COLUMNS, args.out)
+        return 0
+    run, columns = _MALLOWS_MODES[args.mode]
+    rows = [row for cfg in _mallows_configs(args) for row in run(cfg, args.workers)]
+    _write_rows(rows, columns, args.out)
     return 0
 
 
@@ -269,8 +289,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="print worst-case truncation-ratio bounds")
     p.add_argument("--rule", required=True, help="e.g. borda:zero, harmonic:avg, maximin")
-    p.add_argument("--m", required=True, help="single value, comma list, or a:b[:c] range")
-    p.add_argument("--k", required=True, help="single value, comma list, or a:b[:c] range")
+    p.add_argument("--m", type=_parse_int_list, required=True,
+                   help="single value; with --csv, a comma list or a:b[:c] range")
+    p.add_argument("--k", type=_parse_int_list, required=True,
+                   help="single value; with --csv, a comma list or a:b[:c] range")
     p.add_argument("--csv", action="store_true", help="emit a CSV table")
     p.add_argument("--attained", action="store_true", help="include the adversarial ratio")
     p.add_argument("--out")
@@ -308,29 +330,32 @@ def _build_parser() -> argparse.ArgumentParser:
         if mallows:
             q.add_argument("--model", choices=["mallows"], default="mallows")
             q.add_argument("--m", type=int, required=True)
-            q.add_argument("--n", type=int, required=True)
-            q.add_argument("--phi", type=float, required=True)
+            q.add_argument("--n", type=_parse_int_list, required=True,
+                           help="electorate sizes: comma list or a:b[:c] range")
+            q.add_argument("--phi", type=_parse_list, required=True,
+                           help="Mallows dispersions: comma list (no ranges); rows run "
+                                "phi outer, n inner")
 
     q = mode.add_parser("success", help="winner-agreement rate on Mallows profiles")
-    q.add_argument("--k", required=True)
+    q.add_argument("--k", type=_parse_int_list, required=True, help="comma list or a:b[:c] range")
     common(q, mallows=True)
     q.set_defaults(func=_cmd_experiment)
 
     q = mode.add_parser("ratio", help="score-ratio statistics on Mallows profiles")
-    q.add_argument("--k", required=True)
+    q.add_argument("--k", type=_parse_int_list, required=True, help="comma list or a:b[:c] range")
     common(q, mallows=True, ties=False)
     q.set_defaults(func=_cmd_experiment)
 
     q = mode.add_parser("min-k", help="minimal k with perfect agreement across trials")
-    q.add_argument("--k", help="defaults to 1:m-1")
+    q.add_argument("--k", type=_parse_int_list, help="defaults to 1:m-1")
     common(q, mallows=True)
     q.set_defaults(func=_cmd_experiment)
 
     q = mode.add_parser("real-sweep", help="success-rate sweep over resampled real data")
     q.add_argument("--data", required=True, help="PrefLib SOC/SOI file")
-    q.add_argument("--n-star", required=True, dest="n_star",
+    q.add_argument("--n-star", type=_parse_int_list, required=True, dest="n_star",
                    help="grid: comma list or a:b[:c] range")
-    q.add_argument("--k", required=True)
+    q.add_argument("--k", type=_parse_int_list, required=True, help="comma list or a:b[:c] range")
     common(q, mallows=False)
     q.set_defaults(func=_cmd_experiment)
 
@@ -341,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RuleParseError, PreflibParseError, FileNotFoundError, OSError) as err:
+    except (UsageError, RuleParseError, PreflibParseError, FileNotFoundError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (DomainError, UnsupportedRuleError, ConstructionInapplicableError, ValueError) as err:

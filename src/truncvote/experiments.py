@@ -4,6 +4,10 @@ real-data sweeps, with seeded deterministic parallel trials and CSV output.
 Trial t always uses the stream ``trial_rng(base_seed, t)`` and results are
 merged in trial order, so the worker count never changes the output.
 
+Every source runs through one trial loop. The source decides only where a
+trial's ballots come from and what its ground truth is; the ballots are then
+truncated once per k, and every rule is evaluated on that top-k profile.
+
 A trial succeeds when the top-k winner equals the complete election's
 winner. ``ExperimentConfig.ties`` says what a tie for the complete election's
 top score means (see :data:`TIE_CONVENTIONS`).
@@ -126,28 +130,27 @@ def _true_winner(cfg: ExperimentConfig, rule: RuleId, profile: Profile | TopKPro
 
 
 def _trial_winners(cfg: ExperimentConfig, t: int) -> tuple[dict, dict]:
-    """Per-trial true winners and per-(rule, k) top-k winners."""
-    src, tb = cfg.source, cfg.tb
-    if not isinstance(src, PreflibSource):
+    """Per-rule true winners and per-(rule, k) top-k winners of trial t.
+
+    The ground truth is the complete rule on a complete profile (Mallows or
+    fixed source), or, on real data, the rule on the resampled voters' own
+    (possibly incomplete) ballots through the top-(m-1) machinery.
+    """
+    src, tb, m = cfg.source, cfg.tb, cfg.source.m
+    if isinstance(src, PreflibSource):
+        rng = trial_rng(cfg.base_seed, t)
+        ballots = resample(src.dataset, src.n_star, rng, src.with_replacement)
+        reference = effective_truncate(ballots, m - 1, m)
+        true = {rule: _true_winner(cfg, rule.at_k(m - 1), reference) for rule in cfg.rules}
+    else:
         profile = _complete_profile(cfg, t)
+        ballots = profile.entries
         true = {rule: _true_winner(cfg, rule, profile) for rule in cfg.rules}
-        approx = {
-            (rule, k): apply_rule(rule.at_k(k), profile, tb)
-            for k in cfg.k_values
-            for rule in cfg.rules
-        }
-        return true, approx
-    # real data: the dataset's own (possibly incomplete) ballots are ground
-    # truth, evaluated through the top-(m-1) machinery
-    m = src.m
-    ballots = resample(src.dataset, src.n_star, trial_rng(cfg.base_seed, t), src.with_replacement)
-    reference = effective_truncate(ballots, m - 1, m)
-    true = {rule: _true_winner(cfg, rule.at_k(reference.k), reference) for rule in cfg.rules}
     approx = {}
     for k in cfg.k_values:
         topk = effective_truncate(ballots, k, m)
         for rule in cfg.rules:
-            approx[(rule, k)] = apply_rule(rule.at_k(topk.k), topk, tb)
+            approx[(rule, k)] = apply_rule(rule.at_k(k), topk, tb)
     return true, approx
 
 
@@ -245,13 +248,12 @@ def min_k_search(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     results = _map_trials(_success_trial, cfg, workers)
     phi, n = _source_fields(cfg.source)
     rows = []
+    by_k = sorted(enumerate(cfg.k_values), key=lambda pair: pair[1])
     for i, rule in enumerate(cfg.rules):
-        min_k = m - 1
-        for j, k in enumerate(sorted(cfg.k_values)):
-            jj = cfg.k_values.index(k)
-            if all(res[i * len(cfg.k_values) + jj] for res in results):
-                min_k = k
-                break
+        min_k = next(
+            (k for j, k in by_k if all(res[i * len(cfg.k_values) + j] for res in results)),
+            m - 1,
+        )
         rows.append(
             {
                 "rule": rule.label,

@@ -65,8 +65,9 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _attainment_gap(vector_fn, rule_text):
-    """Worst (m, k) where the constructed profile misses the bound, or None."""
-    worst = None
+    """(m, k, attained, bound) of the cell whose constructed profile misses the
+    bound by the most (largest bound - attained), or None if none misses."""
+    misses = []
     for m, k in GRID:
         s = vector_fn(m)
         bound = psr_bounds(s, k, F(0))
@@ -76,8 +77,8 @@ def _attainment_gap(vector_fn, rule_text):
             continue  # beta < 0: the construction does not apply here
         price = price_of_truncation(inst.profile, parse_rule(rule_text), k)
         if price != bound.upper:
-            worst = (m, k, price, bound.upper)
-    return worst
+            misses.append((m, k, price, bound.upper))
+    return max(misses, key=lambda miss: miss[3] - miss[2], default=None)
 
 
 def test_criterion_1_borda_bound_attained_exactly():

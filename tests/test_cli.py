@@ -1,5 +1,9 @@
+import io
+
 import pytest
 
+from truncvote import experiments as exp
+from truncvote import parse_rule
 from truncvote.cli import main
 
 from conftest import EXAMPLE1_CLASSIC
@@ -179,3 +183,77 @@ def test_experiment_unknown_ties_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(list(SUCCESS_ARGS) + ["--ties", "bogus"])
     assert err.value.code == 2
+
+
+MALLOWS = ("--rule", "borda:zero,copeland", "--m", "4", "--trials", "3", "--seed", "5")
+
+
+def expected_csv(run, columns, cells, k_values=(1, 2, 3)):
+    """write_csv of the concatenated rows of one config per (phi, n) cell."""
+    rules = (parse_rule("borda:zero"), parse_rule("copeland"))
+    rows = []
+    for phi, n in cells:
+        cfg = exp.ExperimentConfig(exp.MallowsSource(4, n, phi), rules, k_values, 3, 5)
+        rows += run(cfg)
+    buf = io.StringIO()
+    exp.write_csv(rows, buf, columns)
+    return buf.getvalue()
+
+
+def test_experiment_success_grid_is_phi_outer_n_inner(capsys):
+    code, out, _ = run(capsys, "experiment", "success", *MALLOWS, "--k", "1:3",
+                       "--phi", "0.7,1.0", "--n", "20,30")
+    assert code == 0
+    assert out == expected_csv(exp.run_success_rate, exp.SUCCESS_COLUMNS,
+                               [(0.7, 20), (0.7, 30), (1.0, 20), (1.0, 30)])
+
+
+@pytest.mark.parametrize("mode, fn, columns, k", [
+    ("ratio", exp.run_ratio, exp.RATIO_COLUMNS, ("--k", "1,2,3")),
+    ("min-k", exp.min_k_search, exp.MIN_K_COLUMNS, ()),
+])
+def test_experiment_ratio_and_min_k_grid_over_n(capsys, mode, fn, columns, k):
+    code, out, _ = run(capsys, "experiment", mode, *MALLOWS, *k, "--phi", "0.8",
+                       "--n", "20:30:10")
+    assert code == 0
+    assert out == expected_csv(fn, columns, [(0.8, 20), (0.8, 30)])
+
+
+@pytest.mark.parametrize("mode, fn, columns", [
+    ("success", exp.run_success_rate, exp.SUCCESS_COLUMNS),
+    ("ratio", exp.run_ratio, exp.RATIO_COLUMNS),
+    ("min-k", exp.min_k_search, exp.MIN_K_COLUMNS),
+])
+def test_experiment_single_cell_is_one_config(capsys, mode, fn, columns):
+    code, out, _ = run(capsys, "experiment", mode, *MALLOWS, "--k", "1,2,3",
+                       "--phi", "0.9", "--n", "25")
+    assert code == 0
+    assert out == expected_csv(fn, columns, [(0.9, 25)])
+
+
+SUCCESS_CELL = ("experiment", "success", "--rule", "borda", "--m", "4", "--trials", "2",
+                "--seed", "1")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("bounds", "--rule", "borda:zero", "--m", "5:1", "--k", "2"), "--m"),
+    (("bounds", "--rule", "borda:zero", "--m", "5", "--k", "1:5:0"), "--k"),
+    (("bounds", "--rule", "borda:zero", "--m", "x", "--k", "2"), "--m"),
+    (("bounds", "--rule", "borda:zero", "--m", "5", "--k", "1:2:3:4"), "--k"),
+    (("bounds", "--rule", "borda:zero", "--m", ",", "--k", "2"), "--m"),
+    (("bounds", "--rule", "borda:zero", "--csv", "--m", "5", "--k", "5:3"), "--k"),
+    (("bounds", "--rule", "borda:zero", "--m", "4:5", "--k", "2"), "--m"),
+    ((*SUCCESS_CELL, "--k", "3:1", "--n", "10", "--phi", "0.5"), "--k"),
+    ((*SUCCESS_CELL, "--k", "1", "--n", "10:20:0", "--phi", "0.5"), "--n"),
+    ((*SUCCESS_CELL, "--k", "1", "--n", "10", "--phi", "0.5:1.0"), "--phi"),
+    ((*SUCCESS_CELL, "--k", "1", "--n", "10", "--phi", ""), "--phi"),
+    (("experiment", "real-sweep", "--data", "unused.soi", "--n-star", "50:10", "--k", "1",
+      "--rule", "borda", "--trials", "2", "--seed", "1"), "--n-star"),
+])
+def test_bad_list_exits_2_naming_the_option(capsys, argv, option):
+    try:
+        code = main(list(argv))
+    except SystemExit as stop:
+        code = stop.code
+    err = capsys.readouterr().err
+    assert code == 2 and option in err
