@@ -1,9 +1,9 @@
 """Voting rules on top-k truncated ballots.
 
-Winner computation for classical rules and their top-k approximations,
-worst-case score-ratio bounds with the pathological profiles that attain
-them, a Mallows sampler, PrefLib ingestion, and a seeded Monte-Carlo
-experiment harness.
+Winner computation for classical rules and their top-k approximations from
+one exact integer tally per ballot list, worst-case score-ratio bounds with
+the pathological profiles that attain them, a Mallows sampler, PrefLib
+ingestion, and a seeded Monte-Carlo experiment harness.
 """
 
 from .ballots import (
@@ -74,5 +74,6 @@ from .rules import (
     topk_psr_scores,
     winner_from_scores,
 )
+from .tally import IntegerTally
 
 __version__ = "0.1.0"

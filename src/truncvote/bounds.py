@@ -1,9 +1,11 @@
 """Worst-case price of top-k truncation: closed-form bounds and the
 pathological profiles that witness them.
 
-Everything here is exact rational arithmetic. Adversarial profiles are built
-with integer ballot weights by clearing denominators, so attainment checks
-are exact equalities, not tolerances.
+Everything here is exact: bounds are rationals, and a profile's price of
+truncation is the Fraction of two integer scores from its
+:class:`~truncvote.tally.IntegerTally`. Adversarial profiles are built with
+integer ballot weights by clearing denominators, so attainment checks are
+exact equalities, not tolerances.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from itertools import permutations
 from math import gcd, lcm, perm
 from typing import Sequence
 
-from .ballots import DomainError, Profile, TieBreak, truncate
-from .rules import RuleId, ScoringVector, apply_rule, psr_scores, rule_scores, winner_from_scores
+from .ballots import DomainError, Profile, TieBreak
+from .rules import RuleId, ScoringVector, co_winners
+from .tally import IntegerTally
 
 
 class UnsupportedRuleError(ValueError):
@@ -166,8 +169,8 @@ def psr_adversarial(s: ScoringVector, k: int, s_star: Fraction) -> AdversarialIn
     # complete rule; coincides with the closed-form bound when s_star = 0 and
     # s_m = 0. For s_m > 0 it falls short of the bound, and it is not the
     # worst case either: other profiles reach a higher ratio in some cells
-    scores = psr_scores(profile, s)
-    return AdversarialInstance(profile, k, x1=0, x2=1, claimed_ratio=scores[1] / scores[0])
+    scores = IntegerTally.of(profile).psr(s)
+    return AdversarialInstance(profile, k, x1=0, x2=1, claimed_ratio=Fraction(scores[1], scores[0]))
 
 
 def maximin_bounds(m: int, k: int) -> RatioBound:
@@ -225,19 +228,27 @@ def copeland_adversarial(m: int, k: int) -> AdversarialInstance:
     )
 
 
+def truncation_prices(
+    tally: IntegerTally, rule: RuleId, k_values: Sequence[int], tb: TieBreak
+) -> list[Ratio]:
+    """Price of truncation at each k, with the complete scores computed once.
+
+    Both scores of a ratio come from one integer table under one scale, so
+    the ratio is the same Fraction as the ratio of ``rule_scores`` values."""
+    if rule.family in ("rp", "stv"):
+        raise UnsupportedRuleError(f"{rule.family} is not score-based")
+    scores = tally.scores(rule, None)
+    truncated = [scores[tally.winner(rule, k, tb)] for k in k_values]
+    full = scores[tb.best(co_winners(scores))]
+    return [INFINITY if score == 0 else Fraction(full, score) for score in truncated]
+
+
 def price_of_truncation(
     profile: Profile, rule: RuleId, k: int, tb: TieBreak | None = None
 ) -> Ratio:
     """Per-profile score ratio S(f(P)) / S(f_k(P_k)), scores under the
     complete rule on the complete profile. Infinite when the truncated
     winner's complete score is zero (Copeland only, in practice)."""
-    if rule.family in ("rp", "stv"):
-        raise UnsupportedRuleError(f"{rule.family} is not score-based")
     if tb is None:
         tb = TieBreak.by_index(profile.m)
-    topk_winner = apply_rule(rule.at_k(k), truncate(profile, k), tb)
-    scores = rule_scores(rule.at_k(None), profile)
-    full_winner = winner_from_scores(scores, tb)
-    if scores[topk_winner] == 0:
-        return INFINITY
-    return scores[full_winner] / scores[topk_winner]
+    return truncation_prices(IntegerTally.of(profile), rule, (k,), tb)[0]

@@ -59,6 +59,17 @@ def _parse_list(text: str, convert: Callable = float) -> list:
     return values
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_int_list(text: str) -> list[int]:
     """argparse type: comma list '1,2,3' or inclusive range 'start:stop[:step]'."""
     if ":" not in text:
@@ -315,9 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(q, mallows: bool, ties: bool = True) -> None:
         q.add_argument("--rule", action="append", required=True,
                        help="rule string; repeat or comma-separate")
-        q.add_argument("--trials", type=int, required=True)
+        q.add_argument("--trials", type=_positive_int, required=True)
         q.add_argument("--seed", type=int, required=True)
-        q.add_argument("--workers", type=int, default=1)
+        q.add_argument("--workers", type=_positive_int, default=1)
         q.add_argument("--tiebreak")
         if ties:
             q.add_argument("--ties", choices=exp.TIE_CONVENTIONS, default="priority",

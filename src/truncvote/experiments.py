@@ -5,8 +5,11 @@ Trial t always uses the stream ``trial_rng(base_seed, t)`` and results are
 merged in trial order, so the worker count never changes the output.
 
 Every source runs through one trial loop. The source decides only where a
-trial's ballots come from and what its ground truth is; the ballots are then
-truncated once per k, and every rule is evaluated on that top-k profile.
+trial's ballots come from and what its ground truth is. One
+:class:`~truncvote.tally.IntegerTally` per trial then serves the ground truth
+and every (rule, k): no ballot list is truncated, merged or re-validated per
+k, and every score is an exact integer. ``Fraction`` appears only in the
+reported score ratios.
 
 A trial succeeds when the top-k winner equals the complete election's
 winner. ``ExperimentConfig.ties`` says what a tie for the complete election's
@@ -24,11 +27,12 @@ from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .ballots import DomainError, Profile, TieBreak, TopKProfile
-from .bounds import Ratio, is_infinite, price_of_truncation
+from .ballots import DomainError, Profile, TieBreak
+from .bounds import Ratio, is_infinite, truncation_prices
 from .mallows import MallowsModel, sample_profile, trial_rng
-from .preflib import ElectionDataset, effective_truncate, resample
-from .rules import SCORED_FAMILIES, RuleId, apply_rule, co_winners, rule_scores
+from .preflib import ElectionDataset, resample
+from .rules import SCORED_FAMILIES, RuleId, co_winners
+from .tally import IntegerTally
 
 SUCCESS_COLUMNS = ("rule", "k", "phi", "n", "trials", "seed", "rate")
 RATIO_COLUMNS = ("rule", "k", "phi", "n", "trials", "seed", "mean_ratio", "max_ratio", "inf_count")
@@ -49,6 +53,10 @@ class MallowsSource:
     n: int
     phi: float
     sigma: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise DomainError(f"n must be >= 1, got {self.n}")
 
     @property
     def model(self) -> MallowsModel:
@@ -121,11 +129,11 @@ def _complete_profile(cfg: ExperimentConfig, t: int) -> Profile:
     raise DomainError("score-ratio experiments need complete profiles")
 
 
-def _true_winner(cfg: ExperimentConfig, rule: RuleId, profile: Profile | TopKProfile) -> int | None:
+def _true_winner(cfg: ExperimentConfig, tally: IntegerTally, rule: RuleId, k: int | None) -> int | None:
     """The complete election's winner; None when no top-k winner can match it."""
     if cfg.ties == "priority":
-        return apply_rule(rule, profile, cfg.tb)
-    top = co_winners(rule_scores(rule, profile))
+        return tally.winner(rule, k, cfg.tb)
+    top = co_winners(tally.scores(rule, k))
     return top[0] if len(top) == 1 else None
 
 
@@ -134,23 +142,18 @@ def _trial_winners(cfg: ExperimentConfig, t: int) -> tuple[dict, dict]:
 
     The ground truth is the complete rule on a complete profile (Mallows or
     fixed source), or, on real data, the rule on the resampled voters' own
-    (possibly incomplete) ballots through the top-(m-1) machinery.
+    (possibly incomplete) ballots read to depth m-1.
     """
     src, tb, m = cfg.source, cfg.tb, cfg.source.m
     if isinstance(src, PreflibSource):
         rng = trial_rng(cfg.base_seed, t)
-        ballots = resample(src.dataset, src.n_star, rng, src.with_replacement)
-        reference = effective_truncate(ballots, m - 1, m)
-        true = {rule: _true_winner(cfg, rule.at_k(m - 1), reference) for rule in cfg.rules}
+        tally = IntegerTally(m, resample(src.dataset, src.n_star, rng, src.with_replacement))
+        truth_k = m - 1
     else:
-        profile = _complete_profile(cfg, t)
-        ballots = profile.entries
-        true = {rule: _true_winner(cfg, rule, profile) for rule in cfg.rules}
-    approx = {}
-    for k in cfg.k_values:
-        topk = effective_truncate(ballots, k, m)
-        for rule in cfg.rules:
-            approx[(rule, k)] = apply_rule(rule.at_k(k), topk, tb)
+        tally = IntegerTally.of(_complete_profile(cfg, t))
+        truth_k = None
+    true = {rule: _true_winner(cfg, tally, rule, truth_k) for rule in cfg.rules}
+    approx = {(rule, k): tally.winner(rule, k, tb) for k in cfg.k_values for rule in cfg.rules}
     return true, approx
 
 
@@ -162,11 +165,11 @@ def _success_trial(cfg: ExperimentConfig, t: int) -> tuple[bool, ...]:
 
 
 def _ratio_trial(cfg: ExperimentConfig, t: int) -> tuple[Ratio, ...]:
-    profile = _complete_profile(cfg, t)
+    tally = IntegerTally.of(_complete_profile(cfg, t))
     return tuple(
-        price_of_truncation(profile, rule, k, cfg.tb)
+        ratio
         for rule in cfg.rules
-        for k in cfg.k_values
+        for ratio in truncation_prices(tally, rule, cfg.k_values, cfg.tb)
     )
 
 

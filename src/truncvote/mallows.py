@@ -2,10 +2,11 @@
 
 The probability of a ranking r is phi**d(r, sigma) / Z, where d is the
 Kendall tau distance and Z the usual product normalization; phi = 1 is
-Impartial Culture. Sampling uses repeated insertion (exact, O(m^2) per
-draw), driven by numpy's PCG64 generator so that a given seed reproduces
-the same profiles on every platform. Per-trial sub-streams are derived as
-``default_rng([base_seed, trial_index])``.
+Impartial Culture. Sampling uses repeated insertion (exact), driven by
+numpy's PCG64 generator so that a given seed reproduces the same profiles
+on every platform; :func:`sample_profile` maps whole blocks of voters at
+once and builds only the distinct rankings. Per-trial sub-streams are
+derived as ``default_rng([base_seed, trial_index])``.
 """
 
 from __future__ import annotations
@@ -93,12 +94,17 @@ def _insertion_cdfs(m: int, phi: float) -> tuple[tuple[float, ...], ...]:
     return tuple(cdfs)
 
 
+def _insert_at(model: MallowsModel, slots: Sequence[int]) -> Ballot:
+    """The ranking built by inserting sigma_{j+2} at top-based slot slots[j]."""
+    out = [model.sigma[0]]
+    for step, slot in enumerate(slots):
+        out.insert(slot, model.sigma[step + 1])
+    return tuple(out)
+
+
 def _insert_from_uniforms(model: MallowsModel, uniforms: Sequence[float]) -> Ballot:
     cdfs = _insertion_cdfs(model.m, float(model.phi))
-    out = [model.sigma[0]]
-    for step, u in enumerate(uniforms):
-        out.insert(bisect_right(cdfs[step], u), model.sigma[step + 1])
-    return tuple(out)
+    return _insert_at(model, [bisect_right(cdfs[step], u) for step, u in enumerate(uniforms)])
 
 
 def sample(model: MallowsModel, rng: np.random.Generator) -> Ballot:
@@ -106,10 +112,51 @@ def sample(model: MallowsModel, rng: np.random.Generator) -> Ballot:
     return _insert_from_uniforms(model, rng.random(model.m - 1))
 
 
+# rows of uniforms drawn at a time; bounds the sampler's memory for any n
+_CHUNK_ROWS = 1 << 14
+# the slot row of a ranking packs into a code below m!, and 20! < 2**63 < 21!
+_MAX_CODED_M = 20
+
+
+def _insertion_slots(model: MallowsModel, uniforms: np.ndarray) -> np.ndarray:
+    """slots[i, j] = bisect_right(cdf of step j, uniforms[i, j]), as in
+    :func:`_insert_from_uniforms`."""
+    slots = np.empty(uniforms.shape, dtype=np.min_scalar_type(model.m))
+    for j, cdf in enumerate(_insertion_cdfs(model.m, float(model.phi))):
+        slots[:, j] = np.searchsorted(np.array(cdf), uniforms[:, j], side="right")
+    return slots
+
+
+def _distinct_rows(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a slot matrix (column j holds 0..j+1) and how
+    often each occurs."""
+    width = slots.shape[1]
+    if width + 1 > _MAX_CODED_M:
+        return np.unique(slots, axis=0, return_counts=True)
+    codes = np.zeros(len(slots), dtype=np.int64)
+    for j in range(width):  # mixed radix, below (width + 1)!
+        codes = codes * (j + 2) + slots[:, j]
+    codes, counts = np.unique(codes, return_counts=True)
+    rows = np.empty((len(codes), width), dtype=np.int64)
+    for j in reversed(range(width)):
+        codes, rows[:, j] = np.divmod(codes, j + 2)
+    return rows, counts
+
+
 def sample_profile(model: MallowsModel, n: int, rng: np.random.Generator) -> Profile:
-    """n i.i.d. draws aggregated into a weighted profile."""
+    """n i.i.d. draws aggregated into a weighted profile.
+
+    Draws the same uniforms, in the same order, as ``rng.random((n, m - 1))``,
+    in blocks of at most ``_CHUNK_ROWS`` voters. Each column is mapped to its
+    insertion slot with ``searchsorted(side="right")`` (the ``bisect_right``
+    of :func:`sample`), and only the distinct slot rows are turned into
+    rankings.
+    """
     if n < 1:
         raise DomainError("n must be >= 1")
-    uniforms = rng.random((n, model.m - 1))
-    counter = Counter(_insert_from_uniforms(model, row) for row in uniforms)
-    return Profile.from_ballots(model.m, counter.items())
+    counter: Counter = Counter()
+    for start in range(0, n, _CHUNK_ROWS):
+        uniforms = rng.random((min(_CHUNK_ROWS, n - start), model.m - 1))
+        rows, counts = _distinct_rows(_insertion_slots(model, uniforms))
+        counter.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
+    return Profile.from_ballots(model.m, ((_insert_at(model, row), c) for row, c in counter.items()))

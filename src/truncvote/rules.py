@@ -1,9 +1,16 @@
 """Voting rules in complete and top-k form.
 
 Positional scoring rules (Borda, Harmonic, k'-approval), Copeland, Maximin,
-Ranked Pairs, and STV with ballot exhaustion. All scores are exact
-rationals; ties are resolved everywhere by a single explicit priority
-permutation (see :class:`truncvote.ballots.TieBreak`).
+Ranked Pairs, and STV with ballot exhaustion. Ties are resolved everywhere
+by a single explicit priority permutation (see
+:class:`truncvote.ballots.TieBreak`).
+
+:func:`apply_rule` computes winners from the exact integer counts of
+:class:`truncvote.tally.IntegerTally`. The score functions here
+(:func:`psr_scores`, :func:`topk_psr_scores`, :func:`copeland_scores`,
+:func:`maximin_scores`, :func:`rule_scores`) keep ``Fraction`` results: they
+are the reference the integer path is tested against, and the form in which
+bounds and reported ratios are stated.
 """
 
 from __future__ import annotations
@@ -69,6 +76,15 @@ def completion_score(vector: ScoringVector, k: int, policy: str) -> Fraction:
     raise DomainError(f"unknown completion policy {policy!r}")
 
 
+def _validate_head(head: Sequence[Fraction], s_star: Fraction) -> None:
+    """Checks of a top-k head with completion score s_star (s_star = 0 and the
+    whole vector for the complete rule)."""
+    if s_star < 0 or head[0] <= s_star or head[-1] < s_star:
+        raise DomainError("need head_1 > s_star and head_k >= s_star >= 0")
+    if any(head[j] < head[j + 1] for j in range(len(head) - 1)):
+        raise DomainError("head must be non-increasing")
+
+
 def _validate_vector(vector: Sequence[Fraction]) -> None:
     if not vector or vector[0] <= 0:
         raise DomainError("scoring vector needs s_1 > 0")
@@ -100,10 +116,7 @@ def topk_psr_scores(topk: TopKProfile, head: Sequence[Fraction], s_star: Fractio
     """
     if len(head) != topk.k:
         raise DomainError("head length must equal the profile's k")
-    if s_star < 0 or head[0] <= s_star or head[-1] < s_star:
-        raise DomainError("need head_1 > s_star and head_k >= s_star >= 0")
-    if any(head[j] < head[j + 1] for j in range(len(head) - 1)):
-        raise DomainError("head must be non-increasing")
+    _validate_head(head, s_star)
     n = topk.n
     scores = [s_star * n for _ in range(topk.m)]
     for order, weight in topk.entries:
@@ -313,15 +326,17 @@ def scoring_vector(rule: RuleId, m: int) -> ScoringVector:
 SCORED_FAMILIES = ("psr", "copeland", "maximin")
 
 
-def _topk_input(rule: RuleId, profile: Profile | TopKProfile) -> TopKProfile:
-    """The top-k profile a top-k rule is evaluated on."""
-    if rule.k > profile.m - 1:  # type: ignore[operator]
+def _check_input(rule: RuleId, profile: Profile | TopKProfile) -> None:
+    """A complete rule needs a complete profile; a top-k rule a complete
+    profile or a top-k profile with the same k."""
+    if rule.k is None:
+        if not isinstance(profile, Profile):
+            raise DomainError(f"complete rule {rule} needs a complete profile")
+        return
+    if rule.k > profile.m - 1:
         raise DomainError(f"rule {rule} needs k <= m-1 = {profile.m - 1}")
-    if isinstance(profile, Profile):
-        return truncate(profile, rule.k)  # type: ignore[arg-type]
-    if profile.k != rule.k:
+    if isinstance(profile, TopKProfile) and profile.k != rule.k:
         raise DomainError(f"profile has k={profile.k}, rule wants k={rule.k}")
-    return profile
 
 
 def rule_scores(rule: RuleId, profile: Profile | TopKProfile) -> ScoreTable:
@@ -333,9 +348,8 @@ def rule_scores(rule: RuleId, profile: Profile | TopKProfile) -> ScoreTable:
     if rule.family not in SCORED_FAMILIES:
         raise DomainError(f"{rule.family} has no score table")
     m = profile.m
+    _check_input(rule, profile)
     if rule.k is None:
-        if not isinstance(profile, Profile):
-            raise DomainError(f"complete rule {rule} needs a complete profile")
         if rule.family == "psr":
             return psr_scores(profile, scoring_vector(rule, m))
         tally = pairwise_tally(profile)
@@ -343,7 +357,7 @@ def rule_scores(rule: RuleId, profile: Profile | TopKProfile) -> ScoreTable:
             return copeland_scores(majority_graph(tally, "complete"))
         return maximin_scores(tally)
 
-    topk = _topk_input(rule, profile)
+    topk = truncate(profile, rule.k) if isinstance(profile, Profile) else profile
     if rule.family == "psr":
         vector = scoring_vector(rule, m)
         s_star = completion_score(vector, rule.k, rule.policy)
@@ -357,25 +371,13 @@ def rule_scores(rule: RuleId, profile: Profile | TopKProfile) -> ScoreTable:
 def apply_rule(rule: RuleId, profile: Profile | TopKProfile, tb: TieBreak | None = None) -> int:
     """Resolute winner of `rule` on `profile`.
 
-    Top-k rules accept a TopKProfile with matching k, or a complete Profile
-    which is truncated first. Complete rules require a complete Profile.
+    Top-k rules accept a TopKProfile with matching k, or a complete Profile,
+    whose ballots the rule reads to depth k only. Complete rules require a
+    complete Profile. The winner comes from the profile's integer tally.
     """
-    m = profile.m
+    from .tally import IntegerTally  # tally.py builds on this module
+
     if tb is None:
-        tb = TieBreak.by_index(m)
-    if len(tb.priority) != m:
-        raise DomainError("tie-break priority length must equal m")
-    if rule.family in SCORED_FAMILIES:
-        return winner_from_scores(rule_scores(rule, profile), tb)
-
-    if rule.k is None:
-        if not isinstance(profile, Profile):
-            raise DomainError(f"complete rule {rule} needs a complete profile")
-        if rule.family == "stv":
-            return _stv(profile.entries, m, tb)
-        return ranked_pairs_winner(pairwise_tally(profile), tb)
-
-    topk = _topk_input(rule, profile)
-    if rule.family == "stv":
-        return stv_winner(topk, tb)
-    return ranked_pairs_winner(dominance_tally(topk), tb)
+        tb = TieBreak.by_index(profile.m)
+    _check_input(rule, profile)
+    return IntegerTally.of(profile).winner(rule, rule.k, tb)

@@ -1,0 +1,212 @@
+"""Exact integer counts of one weighted ballot list, shared by every rule and every k.
+
+An :class:`IntegerTally` is built once per ballot list, complete or
+prefix/SOI, from the distinct ballots only. It holds two count tables:
+
+- the position counts ``C[c][p]``: total weight of the ballots that rank
+  candidate c at position p (0-based, p < m);
+- the cumulative dominance tensor ``D[k-1][a][b]`` for k = 1..m: total
+  weight of the ballots whose top-k prefix ranks a above b or ranks a and
+  not b. ``D[k-1]`` is ``dominance_tally(effective_truncate(ballots, k, m))``
+  and, on complete ballots, ``D[m-1]`` is ``pairwise_tally``.
+
+A candidate a ballot leaves unranked sits at position m, so one formula
+covers top-k truncation and short SOI ballots alike. Every rule and every k
+reads these tables: PSR scores are integer sums over ``C`` with the vector
+scaled to integers, Copeland, Maximin and Ranked Pairs read ``D[k-1]``, and
+STV runs over the position matrix of the distinct ballots. Scores are Python
+ints, so they are exact; their ratios equal the ratios of the ``Fraction``
+scores of :mod:`truncvote.rules`, which the tests use as the oracle.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .ballots import DomainError, PairwiseTally, TieBreak
+from .rules import (
+    SCORED_FAMILIES,
+    RuleId,
+    _validate_head,
+    co_winners,
+    completion_score,
+    ranked_pairs_winner,
+    scoring_vector,
+)
+
+# counts never exceed the total weight n, so int64 holds every partial sum
+# when n does; above that the tables use Python ints (numpy object arrays)
+_INT64_MAX = 2**63 - 1
+
+
+def _position_matrix(m: int, orders: Sequence[Sequence[int]]) -> np.ndarray:
+    """pos[i, c] = position of candidate c in ballot i, m if unranked.
+
+    Rejects what the ballot builders reject: an empty ballot, an id outside
+    0..m-1 and a repeated candidate.
+    """
+    pos = np.full((len(orders), m), m, dtype=np.min_scalar_type(m))
+    by_length: dict[int, list[int]] = {}
+    for i, order in enumerate(orders):
+        by_length.setdefault(len(order), []).append(i)
+    for length, rows in by_length.items():
+        if length == 0:
+            raise DomainError("empty ballot")
+        ids = np.array([orders[i] for i in rows], dtype=np.int64)
+        if ids.min() < 0 or ids.max() >= m:
+            raise DomainError(f"candidate id out of range 0..{m - 1}")
+        index = np.array(rows)
+        pos[index[:, None], ids] = np.arange(length)
+        if ((pos[index] < m).sum(axis=1) != length).any():
+            raise DomainError("repeated candidate in a ballot")
+    return pos
+
+
+def _scaled_head(head: Sequence[Fraction], s_star: Fraction) -> tuple[int, tuple[int, ...]]:
+    """(L * s_star, [L * (s - s_star) for s in head]), L the lcm of all the
+    denominators; the head checks are those of ``topk_psr_scores``."""
+    _validate_head(head, s_star)
+    s_star = Fraction(s_star)
+    reduced = [Fraction(s) - s_star for s in head]
+    scale = lcm(s_star.denominator, *(s.denominator for s in reduced))
+    return int(s_star * scale), tuple(int(s * scale) for s in reduced)
+
+
+@lru_cache(maxsize=256)
+def _rule_weights(
+    base: str, width: int | None, policy: str, m: int, k: int | None
+) -> tuple[int, tuple[int, ...]]:
+    """Scaled completion score and head of a PSR at k (the whole vector and
+    s_star = 0 when k is None), computed once per rule and k."""
+    vector = scoring_vector(RuleId("psr", base=base, width=width, policy=policy), m)
+    if k is None:
+        return _scaled_head(vector, Fraction(0))
+    return _scaled_head(vector[:k], completion_score(vector, k, policy))
+
+
+class IntegerTally:
+    """Position counts and cumulative dominance counts of a weighted ballot list.
+
+    ``k=None`` in :meth:`scores` and :meth:`winner` means the complete rule,
+    which needs complete ballots; an integer k evaluates the top-k rule on the
+    ballots cut to their length-min(k, len) prefix, as ``effective_truncate``
+    does.
+    """
+
+    def __init__(self, m: int, ballots: Iterable[tuple[Sequence[int], int]]) -> None:
+        entries = list(ballots)
+        if not entries:
+            raise DomainError("a tally needs at least one ballot")
+        weights = [count for _, count in entries]
+        if any(count <= 0 for count in weights):
+            raise DomainError("ballot counts must be positive")
+        orders = [order for order, _ in entries]
+        self.m = m
+        self.n = sum(weights)
+        self.complete = all(len(order) == m for order in orders)
+        dtype = np.int64 if self.n <= _INT64_MAX else object
+        w = np.array(weights, dtype=dtype)
+        self._pos = _position_matrix(m, orders)
+        self._weights = w
+        columns, layers = [], []
+        dominance = np.zeros((m, m), dtype=dtype)
+        for p in range(m):
+            # weight of each ballot on the candidate it ranks at position p
+            at_p = (self._pos == p) * w[:, None]
+            columns.append(at_p.sum(axis=0))
+            dominance = dominance + at_p.T @ (self._pos > p)
+            layers.append(dominance.tolist())
+        self._positions = np.stack(columns, axis=1).tolist()
+        self._dominance = layers
+
+    @classmethod
+    def of(cls, profile) -> "IntegerTally":
+        """The tally of a Profile or TopKProfile."""
+        return cls(profile.m, profile.entries)
+
+    def _level(self, k: int | None) -> int:
+        """The number of leading positions a rule at k reads (m if complete)."""
+        if k is None:
+            if not self.complete:
+                raise DomainError("a complete rule needs complete ballots")
+            return self.m
+        if not 1 <= k <= self.m - 1:
+            raise DomainError(f"k must be in [1, m-1], got k={k}, m={self.m}")
+        return k
+
+    def pairwise(self, k: int | None = None) -> PairwiseTally:
+        """``D[k-1]`` as a tally; ``pairwise_tally`` when k is None."""
+        counts = self._dominance[self._level(k) - 1]
+        return PairwiseTally(self.m, self.n, tuple(tuple(row) for row in counts))
+
+    def psr(self, head: Sequence[Fraction], s_star: Fraction = Fraction(0)) -> list[int]:
+        """PSR scores scaled to integers: every ballot gives head[p] to its
+        candidate at position p < len(head), and s_star to each candidate it
+        does not rank there. The scale is the lcm of the denominators of the
+        head and s_star, so score ratios are exact."""
+        if not 1 <= len(head) <= self.m:
+            raise DomainError(f"head length must be in [1, {self.m}], got {len(head)}")
+        return self._psr(*_scaled_head(head, s_star))
+
+    def _psr(self, base: int, steps: Sequence[int]) -> list[int]:
+        return [
+            base * self.n + sum(s * row[p] for p, s in enumerate(steps))
+            for row in self._positions
+        ]
+
+    def scores(self, rule: RuleId, k: int | None) -> list[int]:
+        """Integer score table of a PSR, Copeland or Maximin rule at k.
+
+        It orders the candidates as ``rule_scores`` does: PSR scores are
+        scaled by a positive integer, Copeland scores are 2·wins + ties.
+        """
+        if rule.family not in SCORED_FAMILIES:
+            raise DomainError(f"{rule.family} has no score table")
+        level = self._level(k)
+        m = self.m
+        if rule.family == "psr":
+            return self._psr(*_rule_weights(rule.base, rule.width, rule.policy, m, k))
+        counts = self._dominance[level - 1]
+        if rule.family == "copeland":
+            return [
+                sum(1 + (counts[a][b] > counts[b][a]) - (counts[a][b] < counts[b][a])
+                    for b in range(m) if b != a)
+                for a in range(m)
+            ]
+        if m < 2:
+            raise DomainError("maximin needs m >= 2")
+        return [min(counts[a][b] for b in range(m) if b != a) for a in range(m)]
+
+    def winner(self, rule: RuleId, k: int | None, tb: TieBreak) -> int:
+        """Resolute winner of the rule's family at k; ``rule.k`` is ignored."""
+        if len(tb.priority) != self.m:
+            raise DomainError("tie-break priority length must equal m")
+        if rule.family in SCORED_FAMILIES:
+            return tb.best(co_winners(self.scores(rule, k)))
+        if rule.family == "rp":
+            return ranked_pairs_winner(self.pairwise(k), tb)
+        return self._stv(self._level(k), tb)
+
+    def _stv(self, level: int, tb: TieBreak) -> int:
+        """STV on the top-`level` prefixes: eliminate the active candidate with
+        the lowest first-choice weight (ties: the lowest priority) until one is
+        left. A ballot ranking no active candidate is exhausted."""
+        m = self.m
+        rank = np.where(self._pos < level, self._pos, m)
+        active = list(range(m))
+        while len(active) > 1:
+            current = rank[:, active]
+            top = current.argmin(axis=1)
+            live = current.min(axis=1) < m
+            counts = np.zeros(len(active), dtype=self._weights.dtype)
+            np.add.at(counts, top[live], self._weights[live])
+            tally = counts.tolist()
+            least = min(tally)
+            loser = tb.worst(c for c, count in zip(active, tally) if count == least)
+            active.remove(loser)
+        return active[0]

@@ -257,3 +257,20 @@ def test_bad_list_exits_2_naming_the_option(capsys, argv, option):
         code = stop.code
     err = capsys.readouterr().err
     assert code == 2 and option in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--workers", "0"), ("--workers", "-3"), ("--workers", "two"),
+    ("--trials", "0"), ("--trials", "-1"), ("--trials", "1.5"),
+])
+def test_bad_count_exits_2_naming_the_option(capsys, option, value):
+    argv = [*SUCCESS_CELL, "--k", "1", "--n", "10", "--phi", "0.5", option, value]
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2 and option in capsys.readouterr().err
+
+
+def test_zero_voters_rejected_before_any_trial(capsys):
+    code, _, err = run(capsys, *SUCCESS_CELL, "--k", "1", "--n", "0", "--phi", "0.5",
+                       "--workers", "2")
+    assert code == 1 and "n must be >= 1" in err

@@ -225,3 +225,8 @@ def test_write_csv_empty_rows_need_columns():
     assert buf.getvalue() == ",".join(MIN_K_COLUMNS) + "\n"
     with pytest.raises(DomainError):
         write_csv([], io.StringIO())
+
+
+def test_mallows_source_rejects_empty_electorate():
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        MallowsSource(m=4, n=0, phi=0.5)
