@@ -8,13 +8,11 @@ ingestion, and a seeded Monte-Carlo experiment harness.
 
 from .ballots import (
     DomainError,
-    MajorityGraph,
     PairwiseTally,
     Profile,
     TieBreak,
     TopKProfile,
     dominance_tally,
-    majority_graph,
     pairwise_tally,
     truncate,
 )
@@ -72,7 +70,6 @@ from .rules import (
     scoring_vector,
     stv_winner,
     topk_psr_scores,
-    winner_from_scores,
 )
 from .tally import IntegerTally
 

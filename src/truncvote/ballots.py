@@ -1,4 +1,4 @@
-"""Core data model: candidates, ballots, profiles, tallies, majority graphs.
+"""Core data model: candidates, ballots, profiles, tallies.
 
 Candidates are dense integer ids ``0..m-1``. Profiles are weighted multisets
 of ballots (ballot, count), so electorates with millions of voters but few
@@ -9,7 +9,7 @@ operation is a pure function; tallies are exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 Ballot = tuple[int, ...]
 
@@ -129,20 +129,6 @@ class PairwiseTally:
     counts: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class MajorityGraph:
-    """Directed graph of strict pairwise majorities (antisymmetric)."""
-
-    m: int
-    edges: frozenset[tuple[int, int]]
-
-    def out_degree(self, c: int) -> int:
-        return sum(1 for a, _ in self.edges if a == c)
-
-    def in_degree(self, c: int) -> int:
-        return sum(1 for _, b in self.edges if b == c)
-
-
 def truncate(profile: Profile, k: int) -> TopKProfile:
     """Top-k truncation: keep the length-k prefix of every ranking."""
     if not 1 <= k <= profile.m - 1:
@@ -183,26 +169,3 @@ def dominance_tally(topk: TopKProfile) -> PairwiseTally:
                 row[b] += weight
     return PairwiseTally(m, topk.n, tuple(tuple(row) for row in counts))
 
-
-def majority_graph(
-    tally: PairwiseTally, mode: Literal["complete", "topk"] = "complete"
-) -> MajorityGraph:
-    """Edge a -> b iff the mode's strict inequality holds.
-
-    ``complete`` uses counts[a][b] > n/2 (only meaningful for tallies built
-    from complete profiles); ``topk`` uses counts[a][b] > counts[b][a].
-    """
-    if mode not in ("complete", "topk"):
-        raise DomainError(f"unknown majority-graph mode {mode!r}")
-    edges = set()
-    for a in range(tally.m):
-        for b in range(tally.m):
-            if a == b:
-                continue
-            if mode == "complete":
-                if 2 * tally.counts[a][b] > tally.n:
-                    edges.add((a, b))
-            else:
-                if tally.counts[a][b] > tally.counts[b][a]:
-                    edges.add((a, b))
-    return MajorityGraph(tally.m, frozenset(edges))

@@ -17,7 +17,7 @@ from math import gcd, lcm, perm
 from typing import Sequence
 
 from .ballots import DomainError, Profile, TieBreak
-from .rules import RuleId, ScoringVector, co_winners
+from .rules import RuleId, ScoringVector, _validate_head, co_winners
 from .tally import IntegerTally
 
 
@@ -100,12 +100,8 @@ def _reduced_vector(s: ScoringVector, k: int, s_star: Fraction) -> list[Fraction
     m = len(s)
     if not 1 <= k <= m - 1:
         raise DomainError(f"k must be in [1, m-1], got k={k}, m={m}")
-    if s_star < 0 or s_star > s[k - 1] or s_star >= s[0]:
-        raise DomainError("need s_1 > s_star, s_k >= s_star >= 0")
-    reduced = [s[i] - s_star for i in range(k)]
-    if reduced[0] == 0:
-        raise DomainError("s'_1 must be positive")
-    return reduced
+    _validate_head(s[:k], s_star)
+    return [s[i] - s_star for i in range(k)]
 
 
 def psr_bounds(s: ScoringVector, k: int, s_star: Fraction) -> RatioBound:

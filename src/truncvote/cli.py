@@ -19,7 +19,7 @@ from typing import Callable
 
 from . import bounds as bounds_mod
 from . import experiments as exp
-from .ballots import DomainError, Profile, TieBreak
+from .ballots import DomainError, TieBreak
 from .bounds import (
     ConstructionInapplicableError,
     UnsupportedRuleError,
@@ -32,14 +32,9 @@ from .bounds import (
     psr_bounds,
 )
 from .mallows import MallowsModel, make_rng, sample_profile
-from .preflib import (
-    ElectionDataset,
-    PreflibParseError,
-    effective_truncate,
-    load,
-    serialize_classic,
-)
-from .rules import RuleId, RuleParseError, apply_rule, completion_score, parse_rule, scoring_vector
+from .preflib import ElectionDataset, PreflibParseError, load, serialize_classic
+from .rules import RuleId, RuleParseError, completion_score, parse_rule, scoring_vector
+from .tally import IntegerTally
 
 
 class UsageError(ValueError):
@@ -57,6 +52,11 @@ def _parse_list(text: str, convert: Callable = float) -> list:
     if not values:
         raise argparse.ArgumentTypeError("empty list")
     return values
+
+
+def _parse_priority(text: str) -> list[int]:
+    """argparse type: a tie-break priority, a comma list of 0-based ids."""
+    return _parse_list(text, int)
 
 
 def _positive_int(text: str) -> int:
@@ -86,10 +86,8 @@ def _parse_int_list(text: str) -> list[int]:
     return list(range(start, stop + 1, step))
 
 
-def _parse_tiebreak(text: str | None, m: int) -> TieBreak:
-    if text is None:
-        return TieBreak.by_index(m)
-    return TieBreak(tuple(int(p) for p in text.split(",")))
+def _tiebreak(priority: list[int] | None, m: int) -> TieBreak:
+    return TieBreak.by_index(m) if priority is None else TieBreak(tuple(priority))
 
 
 def _parse_rules(texts: list[str]) -> tuple[RuleId, ...]:
@@ -101,12 +99,6 @@ def _parse_rules(texts: list[str]) -> tuple[RuleId, ...]:
     if not rules:
         raise RuleParseError("no rules given")
     return tuple(rules)
-
-
-def _profile_from_dataset(ds: ElectionDataset) -> Profile | None:
-    if all(len(order) == ds.m for order, _ in ds.ballots):
-        return Profile.from_ballots(ds.m, ds.ballots)
-    return None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -124,19 +116,15 @@ def _write_rows(rows: list[dict], columns, out: str | None) -> None:
 def _cmd_winner(args) -> int:
     ds = load(args.profile)
     rule = parse_rule(args.rule)
-    tb = _parse_tiebreak(args.tiebreak, ds.m)
+    tb = _tiebreak(args.tiebreak, ds.m)
+    tally = IntegerTally(ds.m, ds.ballots)
     if rule.k is not None:
-        winner = apply_rule(rule.at_k(min(rule.k, ds.m - 1)),
-                            effective_truncate(ds.ballots, rule.k, ds.m), tb)
+        k = min(rule.k, ds.m - 1)
     else:
-        complete = _profile_from_dataset(ds)
-        if complete is not None:
-            winner = apply_rule(rule, complete, tb)
-        else:
-            # incomplete real data: the ballots themselves are ground truth
-            topk = effective_truncate(ds.ballots, ds.m - 1, ds.m)
-            winner = apply_rule(rule.at_k(topk.k), topk, tb)
-    print(ds.candidate_names[winner])
+        # incomplete real data: the ballots themselves, read to depth m-1, are
+        # the ground truth
+        k = None if tally.complete else ds.m - 1
+    print(ds.candidate_names[tally.winner(rule, k, tb)])
     return 0
 
 
@@ -244,7 +232,7 @@ _MALLOWS_MODES = {
 
 def _mallows_configs(args) -> list[exp.ExperimentConfig]:
     """One config per (phi, n) cell, phi outer and n inner."""
-    rules, tb = _parse_rules(args.rule), _parse_tiebreak(args.tiebreak, args.m)
+    rules, tb = _parse_rules(args.rule), _tiebreak(args.tiebreak, args.m)
     k_values = tuple(args.k or range(1, args.m))  # min-k defaults to 1..m-1
     return [
         exp.ExperimentConfig(
@@ -261,7 +249,7 @@ def _cmd_experiment(args) -> int:
         ds = load(args.data)
         rows = exp.sweep_real_data(
             ds, args.n_star, args.k, _parse_rules(args.rule), args.trials, args.seed,
-            _parse_tiebreak(args.tiebreak, ds.m), args.workers, ties=args.ties,
+            _tiebreak(args.tiebreak, ds.m), args.workers, ties=args.ties,
         )
         _write_rows(rows, exp.REAL_SWEEP_COLUMNS, args.out)
         return 0
@@ -281,7 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("winner", help="compute the winner of a rule on a profile file")
     p.add_argument("--rule", required=True, help="rule string, e.g. copeland@k=2")
     p.add_argument("--profile", required=True, help="profile file (classic PrefLib layout)")
-    p.add_argument("--tiebreak", help="priority as 0-based indices, e.g. 3,0,1,2")
+    p.add_argument("--tiebreak", type=_parse_priority,
+                   help="priority as 0-based indices, e.g. 3,0,1,2")
     p.set_defaults(func=_cmd_winner)
 
     p = sub.add_parser("truncate", help="truncate a profile file to top-k prefixes")
@@ -329,7 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--trials", type=_positive_int, required=True)
         q.add_argument("--seed", type=int, required=True)
         q.add_argument("--workers", type=_positive_int, default=1)
-        q.add_argument("--tiebreak")
+        q.add_argument("--tiebreak", type=_parse_priority,
+                       help="priority as 0-based indices, e.g. 3,0,1,2")
         if ties:
             q.add_argument("--ties", choices=exp.TIE_CONVENTIONS, default="priority",
                            help="how a tie for the complete election's top score counts: "

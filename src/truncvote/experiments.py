@@ -52,7 +52,6 @@ class MallowsSource:
     m: int
     n: int
     phi: float
-    sigma: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -60,14 +59,13 @@ class MallowsSource:
 
     @property
     def model(self) -> MallowsModel:
-        return MallowsModel(self.m, self.phi, self.sigma)
+        return MallowsModel(self.m, self.phi)
 
 
 @dataclass(frozen=True)
 class PreflibSource:
     dataset: ElectionDataset
     n_star: int
-    with_replacement: bool = False
 
     @property
     def m(self) -> int:
@@ -113,6 +111,10 @@ class ExperimentConfig:
         m = self.source.m
         if any(not 1 <= k <= m - 1 for k in self.k_values):
             raise DomainError(f"k values must lie in [1, {m - 1}]")
+        if self.tiebreak is not None and len(self.tiebreak.priority) != m:
+            raise DomainError(
+                f"tie-break priority needs m = {m} entries, got {len(self.tiebreak.priority)}"
+            )
         object.__setattr__(self, "rules", tuple(r.at_k(None) for r in self.rules))
 
     @property
@@ -147,7 +149,7 @@ def _trial_winners(cfg: ExperimentConfig, t: int) -> tuple[dict, dict]:
     src, tb, m = cfg.source, cfg.tb, cfg.source.m
     if isinstance(src, PreflibSource):
         rng = trial_rng(cfg.base_seed, t)
-        tally = IntegerTally(m, resample(src.dataset, src.n_star, rng, src.with_replacement))
+        tally = IntegerTally(m, resample(src.dataset, src.n_star, rng))
         truth_k = m - 1
     else:
         tally = IntegerTally.of(_complete_profile(cfg, t))
@@ -189,26 +191,43 @@ def _source_fields(source: ProfileSource) -> tuple[str, str]:
     return "", str(source.n_star)
 
 
+def _rows(cfg: ExperimentConfig, results: list, cell: Callable[[list], list]) -> list[dict]:
+    """The CSV rows of one config, rule-major.
+
+    ``cell`` gets one rule's outcomes as (k, per-trial outcomes) pairs in
+    ``cfg.k_values`` order and returns that rule's rows as (k, columns)
+    pairs; each row gets the rule, its k unless that is None, the config's
+    phi, n, trials and seed, then its own columns.
+    """
+    phi, n = _source_fields(cfg.source)
+    fields = {"phi": phi, "n": n, "trials": str(cfg.trials), "seed": str(cfg.base_seed)}
+    # one outcome sequence per (rule, k), rule-major, as the trials return them
+    outcomes = iter(zip(*results))
+    rows = []
+    for rule in cfg.rules:
+        for k, columns in cell([(k, next(outcomes)) for k in cfg.k_values]):
+            k_field = {} if k is None else {"k": str(k)}
+            rows.append({"rule": rule.label, **k_field, **fields, **columns})
+    return rows
+
+
 def run_success_rate(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Winner-agreement rate per (rule, k); rows ready for CSV."""
     results = _map_trials(_success_trial, cfg, workers)
-    phi, n = _source_fields(cfg.source)
-    rows = []
-    for i, rule in enumerate(cfg.rules):
-        for j, k in enumerate(cfg.k_values):
-            hits = sum(res[i * len(cfg.k_values) + j] for res in results)
-            rows.append(
-                {
-                    "rule": rule.label,
-                    "k": str(k),
-                    "phi": phi,
-                    "n": n,
-                    "trials": str(cfg.trials),
-                    "seed": str(cfg.base_seed),
-                    "rate": f"{hits / cfg.trials:.4f}",
-                }
-            )
-    return rows
+    return _rows(cfg, results, lambda by_k: [
+        (k, {"rate": f"{sum(hits) / cfg.trials:.4f}"}) for k, hits in by_k
+    ])
+
+
+def _ratio_columns(ratios: Sequence[Ratio]) -> dict:
+    finite = [r for r in ratios if not is_infinite(r)]
+    mean = float(sum(finite, Fraction(0)) / len(finite)) if finite else float("nan")
+    peak = float(max(finite)) if finite else float("nan")
+    return {
+        "mean_ratio": f"{mean:.6f}",
+        "max_ratio": f"{peak:.6f}",
+        "inf_count": str(len(ratios) - len(finite)),
+    }
 
 
 def run_ratio(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
@@ -217,29 +236,7 @@ def run_ratio(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
         if rule.family in ("rp", "stv"):
             raise DomainError(f"{rule.family} is not score-based; no ratio experiment")
     results = _map_trials(_ratio_trial, cfg, workers)
-    phi, n = _source_fields(cfg.source)
-    rows = []
-    for i, rule in enumerate(cfg.rules):
-        for j, k in enumerate(cfg.k_values):
-            ratios = [res[i * len(cfg.k_values) + j] for res in results]
-            finite = [r for r in ratios if not is_infinite(r)]
-            inf_count = len(ratios) - len(finite)
-            mean = float(sum(finite, Fraction(0)) / len(finite)) if finite else float("nan")
-            peak = float(max(finite)) if finite else float("nan")
-            rows.append(
-                {
-                    "rule": rule.label,
-                    "k": str(k),
-                    "phi": phi,
-                    "n": n,
-                    "trials": str(cfg.trials),
-                    "seed": str(cfg.base_seed),
-                    "mean_ratio": f"{mean:.6f}",
-                    "max_ratio": f"{peak:.6f}",
-                    "inf_count": str(inf_count),
-                }
-            )
-    return rows
+    return _rows(cfg, results, lambda by_k: [(k, _ratio_columns(r)) for k, r in by_k])
 
 
 def min_k_search(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
@@ -249,25 +246,9 @@ def min_k_search(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     if tuple(sorted(cfg.k_values)) != tuple(range(1, m)):
         raise DomainError("min-k search needs k_values spanning 1..m-1")
     results = _map_trials(_success_trial, cfg, workers)
-    phi, n = _source_fields(cfg.source)
-    rows = []
-    by_k = sorted(enumerate(cfg.k_values), key=lambda pair: pair[1])
-    for i, rule in enumerate(cfg.rules):
-        min_k = next(
-            (k for j, k in by_k if all(res[i * len(cfg.k_values) + j] for res in results)),
-            m - 1,
-        )
-        rows.append(
-            {
-                "rule": rule.label,
-                "phi": phi,
-                "n": n,
-                "trials": str(cfg.trials),
-                "seed": str(cfg.base_seed),
-                "min_k": str(min_k),
-            }
-        )
-    return rows
+    return _rows(cfg, results, lambda by_k: [
+        (None, {"min_k": str(min((k for k, hits in by_k if all(hits)), default=m - 1))})
+    ])
 
 
 def sweep_real_data(
@@ -279,7 +260,6 @@ def sweep_real_data(
     seed: int,
     tiebreak: TieBreak | None = None,
     workers: int = 1,
-    with_replacement: bool = False,
     ties: str = "priority",
 ) -> list[dict]:
     """Success rate over resampled sub-elections for each (n*, rule, k)."""
@@ -288,25 +268,12 @@ def sweep_real_data(
     rows = []
     for n_star in n_star_grid:
         cfg = ExperimentConfig(
-            PreflibSource(ds, n_star, with_replacement),
-            tuple(rules),
-            tuple(k_grid),
-            trials,
-            seed,
-            tiebreak,
-            ties,
+            PreflibSource(ds, n_star), tuple(rules), tuple(k_grid), trials, seed, tiebreak, ties
         )
-        for row in run_success_rate(cfg, workers):
-            rows.append(
-                {
-                    "rule": row["rule"],
-                    "k": row["k"],
-                    "n_star": str(n_star),
-                    "trials": row["trials"],
-                    "seed": row["seed"],
-                    "rate": row["rate"],
-                }
-            )
+        rows += [
+            {column: row["n" if column == "n_star" else column] for column in REAL_SWEEP_COLUMNS}
+            for row in run_success_rate(cfg, workers)
+        ]
     return rows
 
 

@@ -22,13 +22,11 @@ from typing import Sequence
 
 from .ballots import (
     DomainError,
-    MajorityGraph,
     PairwiseTally,
     Profile,
     TieBreak,
     TopKProfile,
     dominance_tally,
-    majority_graph,
     pairwise_tally,
     truncate,
 )
@@ -79,19 +77,10 @@ def completion_score(vector: ScoringVector, k: int, policy: str) -> Fraction:
 def _validate_head(head: Sequence[Fraction], s_star: Fraction) -> None:
     """Checks of a top-k head with completion score s_star (s_star = 0 and the
     whole vector for the complete rule)."""
-    if s_star < 0 or head[0] <= s_star or head[-1] < s_star:
+    if not head or s_star < 0 or head[0] <= s_star or head[-1] < s_star:
         raise DomainError("need head_1 > s_star and head_k >= s_star >= 0")
     if any(head[j] < head[j + 1] for j in range(len(head) - 1)):
         raise DomainError("head must be non-increasing")
-
-
-def _validate_vector(vector: Sequence[Fraction]) -> None:
-    if not vector or vector[0] <= 0:
-        raise DomainError("scoring vector needs s_1 > 0")
-    if any(vector[j] < vector[j + 1] for j in range(len(vector) - 1)):
-        raise DomainError("scoring vector must be non-increasing")
-    if vector[-1] < 0:
-        raise DomainError("scoring vector must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +90,7 @@ def _validate_vector(vector: Sequence[Fraction]) -> None:
 def psr_scores(profile: Profile, vector: ScoringVector) -> ScoreTable:
     if len(vector) != profile.m:
         raise DomainError("scoring vector length must equal m")
-    _validate_vector(vector)
+    _validate_head(vector, Fraction(0))
     scores = [Fraction(0)] * profile.m
     for order, weight in profile.entries:
         for pos, c in enumerate(order):
@@ -125,13 +114,19 @@ def topk_psr_scores(topk: TopKProfile, head: Sequence[Fraction], s_star: Fractio
     return scores
 
 
-def copeland_scores(graph: MajorityGraph) -> ScoreTable:
-    """Pairwise wins plus half a point per pairwise tie."""
+def copeland_scores(tally: PairwiseTally) -> ScoreTable:
+    """Pairwise wins plus half a point per pairwise tie.
+
+    a beats b when counts[a][b] > counts[b][a]. On a complete tally
+    counts[a][b] + counts[b][a] = n, so this is the strict majority
+    2·counts[a][b] > n; on a dominance tally it is the top-k majority.
+    """
+    counts, m = tally.counts, tally.m
     scores = []
-    for c in range(graph.m):
-        out = graph.out_degree(c)
-        ties = graph.m - 1 - out - graph.in_degree(c)
-        scores.append(Fraction(out) + Fraction(ties, 2))
+    for a in range(m):
+        wins = sum(1 for b in range(m) if counts[a][b] > counts[b][a])
+        ties = sum(1 for b in range(m) if b != a and counts[a][b] == counts[b][a])
+        scores.append(Fraction(wins) + Fraction(ties, 2))
     return scores
 
 
@@ -150,10 +145,6 @@ def co_winners(scores: Sequence[Fraction]) -> list[int]:
         raise DomainError("empty score table")
     top = max(scores)
     return [c for c, s in enumerate(scores) if s == top]
-
-
-def winner_from_scores(scores: Sequence[Fraction], tb: TieBreak) -> int:
-    return tb.best(co_winners(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +182,16 @@ def ranked_pairs_winner(tally: PairwiseTally, tb: TieBreak) -> int:
     return tb.best(sources)
 
 
-def _stv(entries: Sequence[tuple[tuple[int, ...], int]], m: int, tb: TieBreak) -> int:
+def stv_winner(profile: Profile | TopKProfile, tb: TieBreak) -> int:
     """Eliminate the lowest current-top count until one candidate remains.
 
     Ballots whose ranked candidates are all eliminated are exhausted and
     ignored. Ties eliminate the lowest-priority candidate.
     """
-    active = set(range(m))
+    active = set(range(profile.m))
     while len(active) > 1:
         counts = {c: 0 for c in active}
-        for order, weight in entries:
+        for order, weight in profile.entries:
             for c in order:
                 if c in active:
                     counts[c] += weight
@@ -208,10 +199,6 @@ def _stv(entries: Sequence[tuple[tuple[int, ...], int]], m: int, tb: TieBreak) -
         least = min(counts.values())
         active.remove(tb.worst(c for c in active if counts[c] == least))
     return active.pop()
-
-
-def stv_winner(topk: TopKProfile, tb: TieBreak) -> int:
-    return _stv(topk.entries, topk.m, tb)
 
 
 # ---------------------------------------------------------------------------
@@ -353,18 +340,15 @@ def rule_scores(rule: RuleId, profile: Profile | TopKProfile) -> ScoreTable:
         if rule.family == "psr":
             return psr_scores(profile, scoring_vector(rule, m))
         tally = pairwise_tally(profile)
-        if rule.family == "copeland":
-            return copeland_scores(majority_graph(tally, "complete"))
-        return maximin_scores(tally)
-
-    topk = truncate(profile, rule.k) if isinstance(profile, Profile) else profile
-    if rule.family == "psr":
-        vector = scoring_vector(rule, m)
-        s_star = completion_score(vector, rule.k, rule.policy)
-        return topk_psr_scores(topk, vector[: rule.k], s_star)
-    tally = dominance_tally(topk)
+    else:
+        topk = truncate(profile, rule.k) if isinstance(profile, Profile) else profile
+        if rule.family == "psr":
+            vector = scoring_vector(rule, m)
+            s_star = completion_score(vector, rule.k, rule.policy)
+            return topk_psr_scores(topk, vector[: rule.k], s_star)
+        tally = dominance_tally(topk)
     if rule.family == "copeland":
-        return copeland_scores(majority_graph(tally, "topk"))
+        return copeland_scores(tally)
     return maximin_scores(tally)
 
 

@@ -1,8 +1,13 @@
 import sys
 
 import pytest
+from hypothesis import settings
 
 from truncvote import Profile
+
+# one hypothesis profile for every property test: no per-example deadline
+settings.register_profile("suite", deadline=None)
+settings.load_profile("suite")
 
 # 62-voter reference profile, candidates a=0, b=1, c=2, d=3
 EXAMPLE1_BALLOTS = (

@@ -6,7 +6,6 @@ from truncvote import (
     TieBreak,
     TopKProfile,
     dominance_tally,
-    majority_graph,
     pairwise_tally,
     truncate,
 )
@@ -94,32 +93,6 @@ def test_dominance_ignores_ballots_ranking_neither():
     tally = dominance_tally(t)
     assert tally.counts[2][3] == 0 and tally.counts[3][2] == 0
     assert tally.counts[0][1] == 5 and tally.counts[1][0] == 3
-
-
-def test_complete_majority_graph(example1):
-    g = majority_graph(pairwise_tally(example1), "complete")
-    assert g.edges == frozenset(
-        {(0, 1), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}
-    )
-    assert g.out_degree(3) == 3 and g.in_degree(3) == 0
-
-
-def test_topk_majority_graph(example1):
-    g = majority_graph(dominance_tally(truncate(example1, 2)), "topk")
-    assert g.edges == frozenset(
-        {(0, 1), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}
-    )
-
-
-def test_majority_graph_rejects_unknown_mode(example1):
-    with pytest.raises(DomainError):
-        majority_graph(pairwise_tally(example1), "weighted")
-
-
-def test_majority_graph_drops_exact_ties():
-    p = Profile.from_ballots(2, [((0, 1), 1), ((1, 0), 1)])
-    g = majority_graph(pairwise_tally(p), "complete")
-    assert g.edges == frozenset()
 
 
 def test_tiebreak_priority():

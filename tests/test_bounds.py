@@ -16,7 +16,6 @@ from truncvote import (
     copeland_adversarial,
     copeland_scores,
     is_infinite,
-    majority_graph,
     maximin_adversarial,
     maximin_bounds,
     maximin_scores,
@@ -139,7 +138,7 @@ def test_maximin_adversarial_m5_k2_exact_profile():
 
 def test_copeland_adversarial_m5_k2():
     inst = copeland_adversarial(5, 2)
-    scores = copeland_scores(majority_graph(pairwise_tally(inst.profile), "complete"))
+    scores = copeland_scores(pairwise_tally(inst.profile))
     assert scores[0] == 0 and scores[1] == 4
     assert apply_rule(parse_rule("copeland@k=2"), inst.profile) == 0
     assert is_infinite(inst.claimed_ratio)

@@ -249,6 +249,8 @@ SUCCESS_CELL = ("experiment", "success", "--rule", "borda", "--m", "4", "--trial
     ((*SUCCESS_CELL, "--k", "1", "--n", "10", "--phi", ""), "--phi"),
     (("experiment", "real-sweep", "--data", "unused.soi", "--n-star", "50:10", "--k", "1",
       "--rule", "borda", "--trials", "2", "--seed", "1"), "--n-star"),
+    ((*SUCCESS_CELL, "--k", "1", "--n", "10", "--phi", "0.5", "--tiebreak", "x,y"), "--tiebreak"),
+    (("winner", "--rule", "borda", "--profile", "unused.soc", "--tiebreak", "0,b"), "--tiebreak"),
 ])
 def test_bad_list_exits_2_naming_the_option(capsys, argv, option):
     try:

@@ -9,6 +9,7 @@ from truncvote import (
     MallowsSource,
     PreflibSource,
     Profile,
+    TieBreak,
     min_k_search,
     parse_preflib,
     parse_rule,
@@ -24,7 +25,7 @@ from truncvote.experiments import (
     SUCCESS_COLUMNS,
 )
 
-from conftest import EXAMPLE1_CLASSIC
+from conftest import EXAMPLE1_CLASSIC, TOY_MODERN
 
 
 def _fixed_cfg(example1, rules, k_values, trials=3):
@@ -44,6 +45,9 @@ def test_config_validation(example1):
         _fixed_cfg(example1, ["borda"], [4])
     with pytest.raises(DomainError):
         _fixed_cfg(example1, ["borda"], [0])
+    with pytest.raises(DomainError, match="tie-break priority"):
+        ExperimentConfig(FixedSource(example1), (parse_rule("borda"),), (1,), 3, 0,
+                         TieBreak((0, 1, 2)))
 
 
 def test_config_strips_k_from_rules(example1):
@@ -164,13 +168,24 @@ def test_mallows_experiment_is_deterministic():
 
 def test_worker_count_does_not_change_results():
     cfg = ExperimentConfig(
-        MallowsSource(m=4, n=25, phi=0.7),
-        (parse_rule("copeland"),),
-        (1, 2),
+        MallowsSource(m=5, n=9, phi=1.0),
+        (parse_rule("copeland"), parse_rule("borda:avg")),
+        (1, 2, 3, 4),
         trials=12,
         base_seed=5,
     )
-    assert run_success_rate(cfg, workers=1) == run_success_rate(cfg, workers=3)
+    ds = parse_preflib(TOY_MODERN)
+    runs = {
+        "success": lambda workers: run_success_rate(cfg, workers),
+        "ratio": lambda workers: run_ratio(cfg, workers),
+        "min-k": lambda workers: min_k_search(cfg, workers),
+        "real-sweep": lambda workers: sweep_real_data(
+            ds, [4, 7], [1, 2], [parse_rule("maximin"), parse_rule("borda")], 6, 3,
+            workers=workers,
+        ),
+    }
+    for mode, run in runs.items():
+        assert run(1) == run(2), mode
 
 
 def test_preflib_source_success():

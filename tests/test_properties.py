@@ -1,7 +1,7 @@
 from fractions import Fraction
 from itertools import permutations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from truncvote import (
     Profile,
@@ -20,9 +20,6 @@ from truncvote import (
 )
 from truncvote.mallows import MallowsModel, normalization, pmf
 from truncvote.rules import borda_vector
-
-settings.register_profile("suite", deadline=None)
-settings.load_profile("suite")
 
 
 @st.composite

@@ -11,11 +11,11 @@ from truncvote import (
     apply_rule,
     approval_vector,
     borda_vector,
+    co_winners,
     completion_score,
     copeland_scores,
     dominance_tally,
     harmonic_vector,
-    majority_graph,
     maximin_scores,
     pairwise_tally,
     parse_rule,
@@ -25,7 +25,6 @@ from truncvote import (
     stv_winner,
     topk_psr_scores,
     truncate,
-    winner_from_scores,
 )
 
 F = Fraction
@@ -54,7 +53,7 @@ def test_completion_score():
 
 def test_borda_scores_on_fixture(example1):
     assert psr_scores(example1, borda_vector(4)) == [F(77), F(45), F(119), F(131)]
-    assert winner_from_scores(psr_scores(example1, borda_vector(4)), TieBreak.by_index(4)) == 3
+    assert TieBreak.by_index(4).best(co_winners(psr_scores(example1, borda_vector(4)))) == 3
 
 
 def test_psr_scores_validation(example1):
@@ -90,13 +89,15 @@ def test_topk_psr_head_validation(example1):
 
 def test_copeland_and_maximin_on_fixture(example1):
     tally = pairwise_tally(example1)
-    assert copeland_scores(majority_graph(tally, "complete")) == [F(1), F(0), F(2), F(3)]
+    assert copeland_scores(tally) == [F(1), F(0), F(2), F(3)]
     assert maximin_scores(tally) == [F(20), F(10), F(25), F(37)]
+    # cut to k=2, d still beats everyone and a still beats only b
+    assert copeland_scores(dominance_tally(truncate(example1, 2))) == [F(1), F(0), F(2), F(3)]
 
 
 def test_copeland_half_point_for_ties():
     p = Profile.from_ballots(2, [((0, 1), 1), ((1, 0), 1)])
-    scores = copeland_scores(majority_graph(pairwise_tally(p), "complete"))
+    scores = copeland_scores(pairwise_tally(p))
     assert scores == [F(1, 2), F(1, 2)]
 
 
@@ -125,8 +126,8 @@ def test_stv_exhaustion():
 
 def test_winner_tie_breaking():
     scores = [F(5), F(5), F(2)]
-    assert winner_from_scores(scores, TieBreak.by_index(3)) == 0
-    assert winner_from_scores(scores, TieBreak((1, 0, 2))) == 1
+    assert TieBreak.by_index(3).best(co_winners(scores)) == 0
+    assert TieBreak((1, 0, 2)).best(co_winners(scores)) == 1
 
 
 def test_parse_rule_round_trips():
