@@ -31,7 +31,7 @@ from .bounds import (
     psr_adversarial,
     psr_bounds,
 )
-from .mallows import MallowsModel, make_rng, sample_profile
+from .mallows import MallowsModel, make_rng, sample_ballots
 from .preflib import ElectionDataset, PreflibParseError, load, serialize_classic
 from .rules import RuleId, RuleParseError, completion_score, parse_rule, scoring_vector
 from .tally import IntegerTally
@@ -141,10 +141,9 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    model = MallowsModel(args.m, args.phi)
-    profile = sample_profile(model, args.n, make_rng(args.seed))
+    ballots = sample_ballots(MallowsModel(args.m, args.phi), args.n, make_rng(args.seed))
     names = [f"c{i + 1}" for i in range(args.m)]
-    ds = ElectionDataset.from_ballots(args.m, names, profile.entries)
+    ds = ElectionDataset.from_ballots(args.m, names, ballots)
     _emit(serialize_classic(ds), args.out)
     return 0
 
@@ -175,27 +174,25 @@ def _adversarial_for(rule: RuleId, m: int, k: int) -> bounds_mod.AdversarialInst
     raise UnsupportedRuleError(f"no adversarial construction for {rule.family}")
 
 
+def _attained(rule: RuleId, m: int, k: int) -> str:
+    """The ratio the adversarial profile attains; empty where no construction applies."""
+    try:
+        inst = _adversarial_for(rule, m, k)
+    except (DomainError, ConstructionInapplicableError):
+        return ""
+    return _fmt_ratio(price_of_truncation(inst.profile, rule.at_k(None), k))
+
+
 def _cmd_bounds(args) -> int:
     rule = parse_rule(args.rule)
     if args.csv:
         rows = []
         for m in args.m:
-            for k in args.k:
+            for k in (k for k in args.k if k < m):  # no bound is defined at k >= m
                 bound = _bounds_for(rule, m, k)
-                row = {
-                    "rule": rule.label,
-                    "m": str(m),
-                    "k": str(k),
-                    "lower": _fmt_ratio(bound.lower),
-                    "upper": _fmt_ratio(bound.upper),
-                    "attained": "",
-                }
-                if args.attained:
-                    inst = _adversarial_for(rule, m, k)
-                    row["attained"] = _fmt_ratio(
-                        price_of_truncation(inst.profile, rule.at_k(None), k)
-                    )
-                rows.append(row)
+                rows.append({"rule": rule.label, "m": str(m), "k": str(k),
+                             "lower": _fmt_ratio(bound.lower), "upper": _fmt_ratio(bound.upper),
+                             "attained": _attained(rule, m, k) if args.attained else ""})
         _write_rows(rows, ("rule", "m", "k", "lower", "upper", "attained"), args.out)
         return 0
     if len(args.m) != 1 or len(args.k) != 1:
@@ -212,8 +209,7 @@ def _cmd_adversarial(args) -> int:
     if args.out:
         names = [f"x{i + 1}" for i in range(args.m)]
         ds = ElectionDataset.from_ballots(args.m, names, inst.profile.entries)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_classic(ds))
+        _emit(serialize_classic(ds), args.out)
     return 0
 
 
@@ -329,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
             q.set_defaults(ties="priority")
         q.add_argument("--out")
         if mallows:
-            q.add_argument("--model", choices=["mallows"], default="mallows")
             q.add_argument("--m", type=int, required=True)
             q.add_argument("--n", type=_parse_int_list, required=True,
                            help="electorate sizes: comma list or a:b[:c] range")

@@ -4,12 +4,13 @@ real-data sweeps, with seeded deterministic parallel trials and CSV output.
 Trial t always uses the stream ``trial_rng(base_seed, t)`` and results are
 merged in trial order, so the worker count never changes the output.
 
-Every source runs through one trial loop. The source decides only where a
-trial's ballots come from and what its ground truth is. One
-:class:`~truncvote.tally.IntegerTally` per trial then serves the ground truth
-and every (rule, k): no ballot list is truncated, merged or re-validated per
-k, and every score is an exact integer. ``Fraction`` appears only in the
-reported score ratios.
+Every source runs through one trial loop. A source's ``ballots(rng)`` hands
+over a trial's weighted ballots: a Mallows sample's distinct rankings, a
+real-data resample, or a fixed profile's entries. They go straight into one
+:class:`~truncvote.tally.IntegerTally` per trial, whose checks are the trial's
+validation, and that tally serves the ground truth and every (rule, k): no
+ballot list is merged, sorted, truncated or re-validated, and every score is
+an exact integer. ``Fraction`` appears only in the reported score ratios.
 
 A trial succeeds when the top-k winner equals the complete election's
 winner. ``ExperimentConfig.ties`` says what a tie for the complete election's
@@ -27,9 +28,11 @@ from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .ballots import DomainError, Profile, TieBreak
+import numpy as np
+
+from .ballots import Ballot, DomainError, Profile, TieBreak
 from .bounds import Ratio, is_infinite, truncation_prices
-from .mallows import MallowsModel, sample_profile, trial_rng
+from .mallows import MallowsModel, sample_ballots, trial_rng
 from .preflib import ElectionDataset, resample
 from .rules import SCORED_FAMILIES, RuleId, co_winners
 from .tally import IntegerTally
@@ -61,6 +64,9 @@ class MallowsSource:
     def model(self) -> MallowsModel:
         return MallowsModel(self.m, self.phi)
 
+    def ballots(self, rng: np.random.Generator) -> list[tuple[Ballot, int]]:
+        return sample_ballots(self.model, self.n, rng)
+
 
 @dataclass(frozen=True)
 class PreflibSource:
@@ -70,6 +76,9 @@ class PreflibSource:
     @property
     def m(self) -> int:
         return self.dataset.m
+
+    def ballots(self, rng: np.random.Generator) -> tuple[tuple[Ballot, int], ...]:
+        return resample(self.dataset, self.n_star, rng)
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,9 @@ class FixedSource:
     @property
     def m(self) -> int:
         return self.profile.m
+
+    def ballots(self, rng: np.random.Generator) -> tuple[tuple[Ballot, int], ...]:
+        return self.profile.entries
 
 
 ProfileSource = MallowsSource | PreflibSource | FixedSource
@@ -122,13 +134,9 @@ class ExperimentConfig:
         return self.tiebreak or TieBreak.by_index(self.source.m)
 
 
-def _complete_profile(cfg: ExperimentConfig, t: int) -> Profile:
-    src = cfg.source
-    if isinstance(src, MallowsSource):
-        return sample_profile(src.model, src.n, trial_rng(cfg.base_seed, t))
-    if isinstance(src, FixedSource):
-        return src.profile
-    raise DomainError("score-ratio experiments need complete profiles")
+def _tally(cfg: ExperimentConfig, t: int) -> IntegerTally:
+    """The tally of trial t's ballots, drawn from the stream of trial t."""
+    return IntegerTally(cfg.source.m, cfg.source.ballots(trial_rng(cfg.base_seed, t)))
 
 
 def _true_winner(cfg: ExperimentConfig, tally: IntegerTally, rule: RuleId, k: int | None) -> int | None:
@@ -139,35 +147,23 @@ def _true_winner(cfg: ExperimentConfig, tally: IntegerTally, rule: RuleId, k: in
     return top[0] if len(top) == 1 else None
 
 
-def _trial_winners(cfg: ExperimentConfig, t: int) -> tuple[dict, dict]:
-    """Per-rule true winners and per-(rule, k) top-k winners of trial t.
+def _success_trial(cfg: ExperimentConfig, t: int) -> tuple[bool, ...]:
+    """Whether each (rule, k)'s top-k winner of trial t is the true winner.
 
     The ground truth is the complete rule on a complete profile (Mallows or
     fixed source), or, on real data, the rule on the resampled voters' own
     (possibly incomplete) ballots read to depth m-1.
     """
-    src, tb, m = cfg.source, cfg.tb, cfg.source.m
-    if isinstance(src, PreflibSource):
-        rng = trial_rng(cfg.base_seed, t)
-        tally = IntegerTally(m, resample(src.dataset, src.n_star, rng))
-        truth_k = m - 1
-    else:
-        tally = IntegerTally.of(_complete_profile(cfg, t))
-        truth_k = None
+    tally = _tally(cfg, t)
+    truth_k = cfg.source.m - 1 if isinstance(cfg.source, PreflibSource) else None
     true = {rule: _true_winner(cfg, tally, rule, truth_k) for rule in cfg.rules}
-    approx = {(rule, k): tally.winner(rule, k, tb) for k in cfg.k_values for rule in cfg.rules}
-    return true, approx
-
-
-def _success_trial(cfg: ExperimentConfig, t: int) -> tuple[bool, ...]:
-    true, approx = _trial_winners(cfg, t)
     return tuple(
-        approx[(rule, k)] == true[rule] for rule in cfg.rules for k in cfg.k_values
+        tally.winner(rule, k, cfg.tb) == true[rule] for rule in cfg.rules for k in cfg.k_values
     )
 
 
 def _ratio_trial(cfg: ExperimentConfig, t: int) -> tuple[Ratio, ...]:
-    tally = IntegerTally.of(_complete_profile(cfg, t))
+    tally = _tally(cfg, t)
     return tuple(
         ratio
         for rule in cfg.rules
@@ -235,6 +231,8 @@ def run_ratio(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     for rule in cfg.rules:
         if rule.family in ("rp", "stv"):
             raise DomainError(f"{rule.family} is not score-based; no ratio experiment")
+    if isinstance(cfg.source, PreflibSource):
+        raise DomainError("score-ratio experiments need complete profiles")
     results = _map_trials(_ratio_trial, cfg, workers)
     return _rows(cfg, results, lambda by_k: [(k, _ratio_columns(r)) for k, r in by_k])
 

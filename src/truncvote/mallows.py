@@ -4,7 +4,7 @@ The probability of a ranking r is phi**d(r, sigma) / Z, where d is the
 Kendall tau distance and Z the usual product normalization; phi = 1 is
 Impartial Culture. Sampling uses repeated insertion (exact), driven by
 numpy's PCG64 generator so that a given seed reproduces the same profiles
-on every platform; :func:`sample_profile` maps whole blocks of voters at
+on every platform; :func:`sample_ballots` maps whole blocks of voters at
 once and builds only the distinct rankings. Per-trial sub-streams are
 derived as ``default_rng([base_seed, trial_index])``.
 """
@@ -143,8 +143,8 @@ def _distinct_rows(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, counts
 
 
-def sample_profile(model: MallowsModel, n: int, rng: np.random.Generator) -> Profile:
-    """n i.i.d. draws aggregated into a weighted profile.
+def sample_ballots(model: MallowsModel, n: int, rng: np.random.Generator) -> list[tuple[Ballot, int]]:
+    """n i.i.d. draws as (ranking, count) pairs, each distinct ranking once.
 
     Draws the same uniforms, in the same order, as ``rng.random((n, m - 1))``,
     in blocks of at most ``_CHUNK_ROWS`` voters. Each column is mapped to its
@@ -159,4 +159,9 @@ def sample_profile(model: MallowsModel, n: int, rng: np.random.Generator) -> Pro
         uniforms = rng.random((min(_CHUNK_ROWS, n - start), model.m - 1))
         rows, counts = _distinct_rows(_insertion_slots(model, uniforms))
         counter.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
-    return Profile.from_ballots(model.m, ((_insert_at(model, row), c) for row, c in counter.items()))
+    return [(_insert_at(model, row), count) for row, count in counter.items()]
+
+
+def sample_profile(model: MallowsModel, n: int, rng: np.random.Generator) -> Profile:
+    """n i.i.d. draws aggregated into a weighted profile (see :func:`sample_ballots`)."""
+    return Profile.from_ballots(model.m, sample_ballots(model, n, rng))

@@ -8,6 +8,7 @@ strict orders are supported: ballots with '{' tie-groups are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -45,9 +46,14 @@ class ElectionDataset:
             _validate_prefix(order, m)
         return cls(m, tuple(names), entries)
 
-    @property
+    # computed once per dataset: resample reads both in every trial
+    @cached_property
     def n(self) -> int:
         return sum(count for _, count in self.ballots)
+
+    @cached_property
+    def _cumulative_counts(self) -> np.ndarray:
+        return np.cumsum([count for _, count in self.ballots])
 
 
 def _parse_ballot_line(part: str, m: int, line: int) -> Ballot:
@@ -224,15 +230,15 @@ def resample(
     """Draw n_star voters at random from the dataset (default: distinct voters)."""
     if not 1 <= n_star <= ds.n:
         raise DomainError(f"n_star must be in [1, {ds.n}], got {n_star}")
-    cum = np.cumsum([count for _, count in ds.ballots])
     if with_replacement:
         voters = rng.integers(0, ds.n, size=n_star)
     else:
         voters = rng.choice(ds.n, size=n_star, replace=False)
-    picked = np.bincount(np.searchsorted(cum, voters, side="right"), minlength=len(ds.ballots))
-    return tuple(
-        (order, int(c)) for (order, _), c in zip(ds.ballots, picked) if c
+    picked = np.bincount(
+        np.searchsorted(ds._cumulative_counts, voters, side="right"), minlength=len(ds.ballots)
     )
+    drawn = np.flatnonzero(picked)
+    return tuple(zip([ds.ballots[i][0] for i in drawn.tolist()], picked[drawn].tolist()))
 
 
 def effective_truncate(

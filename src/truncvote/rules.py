@@ -241,22 +241,16 @@ class RuleId:
     @property
     def label(self) -> str:
         """Rule name without the @k part (CSV column value)."""
-        if self.family == "psr":
-            name = f"approval{self.width}" if self.base == "approval" else self.base
-            return f"{name}:{self.policy}"
-        return self.family
+        return self._name("")
 
     def __str__(self) -> str:
-        if self.family == "psr":
-            name = f"approval{self.width}" if self.base == "approval" else self.base
-            out = name
-            if self.k is not None:
-                out += f"@k={self.k}"
-            return out + f":{self.policy}"
-        out = self.family
-        if self.k is not None:
-            out += f"@k={self.k}"
-        return out
+        return self._name("" if self.k is None else f"@k={self.k}")
+
+    def _name(self, at_k: str) -> str:
+        if self.family != "psr":
+            return self.family + at_k
+        name = f"approval{self.width}" if self.base == "approval" else self.base
+        return f"{name}{at_k}:{self.policy}"
 
     def at_k(self, k: int | None) -> "RuleId":
         return replace(self, k=k)

@@ -72,6 +72,22 @@ def test_bounds_csv_with_attained(capsys):
     assert len(lines) == 3
 
 
+def test_bounds_csv_grid_skips_undefined_cells(capsys):
+    # the README example: k >= m has no bound, k = m-1 has no construction
+    code, out, _ = run(capsys, "bounds", "--rule", "maximin", "--m", "4:8", "--k", "2:6",
+                       "--csv", "--attained")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 19
+    assert all(int(k) < int(m) for _, m, k, *_ in rows)
+    assert [(m, k) for _, m, k, _, _, attained in rows if attained == ""] == [
+        (str(m), str(m - 1)) for m in range(4, 8)
+    ]
+    # one cell without --csv still exits 1
+    code, _, err = run(capsys, "bounds", "--rule", "maximin", "--m", "4", "--k", "4")
+    assert code == 1 and "k must be in [1, m-1]" in err
+
+
 def test_bounds_unsupported_rule_exits_1(capsys):
     code, _, err = run(capsys, "bounds", "--rule", "stv", "--m", "4", "--k", "2")
     assert code == 1 and "error" in err

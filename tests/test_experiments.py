@@ -18,6 +18,7 @@ from truncvote import (
     sweep_real_data,
     write_csv,
 )
+from truncvote import experiments as exp
 from truncvote.experiments import (
     MIN_K_COLUMNS,
     RATIO_COLUMNS,
@@ -87,6 +88,18 @@ def test_ratio_on_fixed_profile(example1):
 def test_ratio_rejects_order_based_rules(example1):
     with pytest.raises(DomainError):
         run_ratio(_fixed_cfg(example1, ["rp"], [2]))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ratio_rejects_real_data_before_any_trial(monkeypatch, workers):
+    # a complete dataset too: the complete profile of a real election is unknown
+    cfg = ExperimentConfig(
+        PreflibSource(parse_preflib(EXAMPLE1_CLASSIC), n_star=30),
+        (parse_rule("borda:zero"),), (1, 2), trials=4, base_seed=0,
+    )
+    monkeypatch.setattr(exp, "_map_trials", lambda *args: pytest.fail("a trial ran"))
+    with pytest.raises(DomainError, match="need complete profiles"):
+        run_ratio(cfg, workers)
 
 
 def test_min_k_search(example1):

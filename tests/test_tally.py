@@ -192,7 +192,12 @@ def _one_by_one(model: MallowsModel, n: int, seed: int) -> Profile:
 @given(st.integers(2, 9), st.integers(1, 400), st.floats(0.05, 1.0), st.integers(0, 2**32))
 def test_sampler_equals_one_ballot_at_a_time(m, n, phi, seed):
     model = MallowsModel(m, phi)
-    assert sample_profile(model, n, mallows.make_rng(seed)) == _one_by_one(model, n, seed)
+    profile = sample_profile(model, n, mallows.make_rng(seed))
+    assert profile == _one_by_one(model, n, seed)
+    # the trial path's ballots: each ranking listed once, the same profile
+    ballots = mallows.sample_ballots(model, n, mallows.make_rng(seed))
+    assert len({order for order, _ in ballots}) == len(ballots)
+    assert Profile.from_ballots(m, ballots) == profile
 
 
 def test_insertion_slots_are_bisect_right():
