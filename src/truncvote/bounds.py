@@ -165,7 +165,7 @@ def psr_adversarial(s: ScoringVector, k: int, s_star: Fraction) -> AdversarialIn
     # complete rule; coincides with the closed-form bound when s_star = 0 and
     # s_m = 0. For s_m > 0 it falls short of the bound, and it is not the
     # worst case either: other profiles reach a higher ratio in some cells
-    scores = IntegerTally.of(profile).psr(s)
+    scores = IntegerTally.of(profile.m, profile.entries).psr(s)
     return AdversarialInstance(profile, k, x1=0, x2=1, claimed_ratio=Fraction(scores[1], scores[0]))
 
 
@@ -247,4 +247,4 @@ def price_of_truncation(
     winner's complete score is zero (Copeland only, in practice)."""
     if tb is None:
         tb = TieBreak.by_index(profile.m)
-    return truncation_prices(IntegerTally.of(profile), rule, (k,), tb)[0]
+    return truncation_prices(IntegerTally.of(profile.m, profile.entries), rule, (k,), tb)[0]

@@ -31,7 +31,7 @@ from .bounds import (
     psr_adversarial,
     psr_bounds,
 )
-from .mallows import MallowsModel, make_rng, sample_ballots
+from .mallows import MallowsModel, make_rng, sample_profile
 from .preflib import ElectionDataset, PreflibParseError, load, serialize_classic
 from .rules import RuleId, RuleParseError, completion_score, parse_rule, scoring_vector
 from .tally import IntegerTally
@@ -117,7 +117,7 @@ def _cmd_winner(args) -> int:
     ds = load(args.profile)
     rule = parse_rule(args.rule)
     tb = _tiebreak(args.tiebreak, ds.m)
-    tally = IntegerTally(ds.m, ds.ballots)
+    tally = IntegerTally.of(ds.m, ds.ballots)
     if rule.k is not None:
         k = min(rule.k, ds.m - 1)
     else:
@@ -141,9 +141,9 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    ballots = sample_ballots(MallowsModel(args.m, args.phi), args.n, make_rng(args.seed))
+    profile = sample_profile(MallowsModel(args.m, args.phi), args.n, make_rng(args.seed))
     names = [f"c{i + 1}" for i in range(args.m)]
-    ds = ElectionDataset.from_ballots(args.m, names, ballots)
+    ds = ElectionDataset.from_ballots(args.m, names, profile.entries)
     _emit(serialize_classic(ds), args.out)
     return 0
 

@@ -4,13 +4,13 @@ real-data sweeps, with seeded deterministic parallel trials and CSV output.
 Trial t always uses the stream ``trial_rng(base_seed, t)`` and results are
 merged in trial order, so the worker count never changes the output.
 
-Every source runs through one trial loop. A source's ``ballots(rng)`` hands
-over a trial's weighted ballots: a Mallows sample's distinct rankings, a
-real-data resample, or a fixed profile's entries. They go straight into one
-:class:`~truncvote.tally.IntegerTally` per trial, whose checks are the trial's
-validation, and that tally serves the ground truth and every (rule, k): no
-ballot list is merged, sorted, truncated or re-validated, and every score is
-an exact integer. ``Fraction`` appears only in the reported score ratios.
+Every source runs through one trial loop. A source's ``tally(rng)`` hands
+over one :class:`~truncvote.tally.IntegerTally` per trial: a Mallows sample's
+rank matrix goes straight in (no ranking tuple is built), and a real-data
+resample or a fixed profile's entries are encoded and checked by
+``IntegerTally.of``. That tally serves the ground truth and every (rule, k):
+no ballot list is merged, sorted, truncated or re-validated, and every score
+is an exact integer. ``Fraction`` appears only in the reported score ratios.
 
 A trial succeeds when the top-k winner equals the complete election's
 winner. ``ExperimentConfig.ties`` says what a tie for the complete election's
@@ -24,15 +24,16 @@ import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .ballots import Ballot, DomainError, Profile, TieBreak
+from .ballots import DomainError, Profile, TieBreak
 from .bounds import Ratio, is_infinite, truncation_prices
-from .mallows import MallowsModel, sample_ballots, trial_rng
+from .mallows import MallowsModel, sample_ranks, trial_rng
 from .preflib import ElectionDataset, resample
 from .rules import SCORED_FAMILIES, RuleId, co_winners
 from .tally import IntegerTally
@@ -59,13 +60,14 @@ class MallowsSource:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
+        self.model  # a bad m or phi fails here, before any trial or pool starts
 
-    @property
+    @cached_property
     def model(self) -> MallowsModel:
         return MallowsModel(self.m, self.phi)
 
-    def ballots(self, rng: np.random.Generator) -> list[tuple[Ballot, int]]:
-        return sample_ballots(self.model, self.n, rng)
+    def tally(self, rng: np.random.Generator) -> IntegerTally:
+        return IntegerTally(*sample_ranks(self.model, self.n, rng))
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,8 @@ class PreflibSource:
     def m(self) -> int:
         return self.dataset.m
 
-    def ballots(self, rng: np.random.Generator) -> tuple[tuple[Ballot, int], ...]:
-        return resample(self.dataset, self.n_star, rng)
+    def tally(self, rng: np.random.Generator) -> IntegerTally:
+        return IntegerTally.of(self.m, resample(self.dataset, self.n_star, rng))
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,8 @@ class FixedSource:
     def m(self) -> int:
         return self.profile.m
 
-    def ballots(self, rng: np.random.Generator) -> tuple[tuple[Ballot, int], ...]:
-        return self.profile.entries
+    def tally(self, rng: np.random.Generator) -> IntegerTally:
+        return IntegerTally.of(self.m, self.profile.entries)
 
 
 ProfileSource = MallowsSource | PreflibSource | FixedSource
@@ -134,11 +136,6 @@ class ExperimentConfig:
         return self.tiebreak or TieBreak.by_index(self.source.m)
 
 
-def _tally(cfg: ExperimentConfig, t: int) -> IntegerTally:
-    """The tally of trial t's ballots, drawn from the stream of trial t."""
-    return IntegerTally(cfg.source.m, cfg.source.ballots(trial_rng(cfg.base_seed, t)))
-
-
 def _true_winner(cfg: ExperimentConfig, tally: IntegerTally, rule: RuleId, k: int | None) -> int | None:
     """The complete election's winner; None when no top-k winner can match it."""
     if cfg.ties == "priority":
@@ -154,7 +151,7 @@ def _success_trial(cfg: ExperimentConfig, t: int) -> tuple[bool, ...]:
     fixed source), or, on real data, the rule on the resampled voters' own
     (possibly incomplete) ballots read to depth m-1.
     """
-    tally = _tally(cfg, t)
+    tally = cfg.source.tally(trial_rng(cfg.base_seed, t))
     truth_k = cfg.source.m - 1 if isinstance(cfg.source, PreflibSource) else None
     true = {rule: _true_winner(cfg, tally, rule, truth_k) for rule in cfg.rules}
     return tuple(
@@ -163,7 +160,7 @@ def _success_trial(cfg: ExperimentConfig, t: int) -> tuple[bool, ...]:
 
 
 def _ratio_trial(cfg: ExperimentConfig, t: int) -> tuple[Ratio, ...]:
-    tally = _tally(cfg, t)
+    tally = cfg.source.tally(trial_rng(cfg.base_seed, t))
     return tuple(
         ratio
         for rule in cfg.rules

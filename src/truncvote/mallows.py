@@ -1,11 +1,12 @@
 """Mallows phi-model over rankings, with an exact repeated-insertion sampler.
 
-The probability of a ranking r is phi**d(r, sigma) / Z, where d is the
-Kendall tau distance and Z the usual product normalization; phi = 1 is
-Impartial Culture. Sampling uses repeated insertion (exact), driven by
-numpy's PCG64 generator so that a given seed reproduces the same profiles
-on every platform; :func:`sample_ballots` maps whole blocks of voters at
-once and builds only the distinct rankings. Per-trial sub-streams are
+The probability of a ranking r is phi**d(r) / Z, where d(r) is the Kendall
+tau distance from r to the identity (0, ..., m-1), the reference ranking,
+and Z the usual product normalization; phi = 1 is Impartial Culture.
+Sampling uses repeated insertion (exact), driven by numpy's PCG64 generator
+so that a given seed reproduces the same profiles on every platform;
+:func:`sample_ranks` codes whole blocks of voters at once and decodes only
+the distinct codes, into the tally's rank matrix. Per-trial sub-streams are
 derived as ``default_rng([base_seed, trial_index])``.
 """
 
@@ -35,12 +36,10 @@ def trial_rng(base_seed: int, trial_index: int) -> np.random.Generator:
 class MallowsModel:
     m: int
     phi: float
-    sigma: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.sigma is None:
-            object.__setattr__(self, "sigma", tuple(range(self.m)))
-        _validate_permutation(self.sigma, self.m)
+        if self.m < 1:
+            raise DomainError(f"m must be >= 1, got {self.m}")
         if not 0 < self.phi <= 1:
             raise DomainError(f"phi must be in (0, 1], got {self.phi}")
 
@@ -71,15 +70,15 @@ def normalization(m: int, phi):
 def pmf(model: MallowsModel, r: Sequence[int], phi=None):
     """Probability mass of ranking r; pass an exact `phi` to get a Fraction."""
     p = model.phi if phi is None else phi
-    return p ** kendall_tau(r, model.sigma) / normalization(model.m, p)
+    return p ** kendall_tau(r, range(model.m)) / normalization(model.m, p)
 
 
 @lru_cache(maxsize=64)
 def _insertion_cdfs(m: int, phi: float) -> tuple[tuple[float, ...], ...]:
     """Normalized cumulative insertion weights for steps j = 2..m.
 
-    At step j, inserting sigma_j at (top-based) position i leaves j - i of
-    the better candidates below it, so the weight is phi**(j - i).
+    At step j, inserting candidate j-1 at (top-based) position i leaves j - i
+    of the better candidates below it, so the weight is phi**(j - i).
     """
     cdfs = []
     for j in range(2, m + 1):
@@ -94,74 +93,72 @@ def _insertion_cdfs(m: int, phi: float) -> tuple[tuple[float, ...], ...]:
     return tuple(cdfs)
 
 
-def _insert_at(model: MallowsModel, slots: Sequence[int]) -> Ballot:
-    """The ranking built by inserting sigma_{j+2} at top-based slot slots[j]."""
-    out = [model.sigma[0]]
-    for step, slot in enumerate(slots):
-        out.insert(slot, model.sigma[step + 1])
+def _insert_from_uniforms(model: MallowsModel, uniforms: Sequence[float]) -> Ballot:
+    """The ranking that inserts candidate j+1 at top-based slot
+    ``bisect_right(cdf of step j, uniforms[j])``, for j = 0..m-2."""
+    out = [0]
+    for j, (cdf, u) in enumerate(zip(_insertion_cdfs(model.m, float(model.phi)), uniforms)):
+        out.insert(bisect_right(cdf, u), j + 1)
     return tuple(out)
 
 
-def _insert_from_uniforms(model: MallowsModel, uniforms: Sequence[float]) -> Ballot:
-    cdfs = _insertion_cdfs(model.m, float(model.phi))
-    return _insert_at(model, [bisect_right(cdfs[step], u) for step, u in enumerate(uniforms)])
-
-
 def sample(model: MallowsModel, rng: np.random.Generator) -> Ballot:
-    """One exact draw from the Mallows distribution."""
+    """One exact draw from the Mallows distribution (the tests' oracle)."""
     return _insert_from_uniforms(model, rng.random(model.m - 1))
 
 
 # rows of uniforms drawn at a time; bounds the sampler's memory for any n
 _CHUNK_ROWS = 1 << 14
-# the slot row of a ranking packs into a code below m!, and 20! < 2**63 < 21!
+# slot codes lie below m!, and 20! < 2**63 < 21!: int64 codes up to m = 20,
+# Python ints (numpy object arrays) above
 _MAX_CODED_M = 20
 
 
-def _insertion_slots(model: MallowsModel, uniforms: np.ndarray) -> np.ndarray:
-    """slots[i, j] = bisect_right(cdf of step j, uniforms[i, j]), as in
-    :func:`_insert_from_uniforms`."""
-    slots = np.empty(uniforms.shape, dtype=np.min_scalar_type(model.m))
+def _slot_codes(model: MallowsModel, uniforms: np.ndarray) -> np.ndarray:
+    """Each row's insertion slots as one mixed-radix code: step j's slot
+    (0..j+1, the ``bisect_right`` of :func:`_insert_from_uniforms`) is the
+    digit of radix j + 2, step 0 the most significant."""
+    codes = np.zeros(len(uniforms), dtype=np.int64 if model.m <= _MAX_CODED_M else object)
     for j, cdf in enumerate(_insertion_cdfs(model.m, float(model.phi))):
-        slots[:, j] = np.searchsorted(np.array(cdf), uniforms[:, j], side="right")
-    return slots
+        codes = codes * (j + 2) + np.searchsorted(np.array(cdf), uniforms[:, j], side="right")
+    return codes
 
 
-def _distinct_rows(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a slot matrix (column j holds 0..j+1) and how
-    often each occurs."""
-    width = slots.shape[1]
-    if width + 1 > _MAX_CODED_M:
-        return np.unique(slots, axis=0, return_counts=True)
-    codes = np.zeros(len(slots), dtype=np.int64)
-    for j in range(width):  # mixed radix, below (width + 1)!
-        codes = codes * (j + 2) + slots[:, j]
-    codes, counts = np.unique(codes, return_counts=True)
-    rows = np.empty((len(codes), width), dtype=np.int64)
-    for j in reversed(range(width)):
-        codes, rows[:, j] = np.divmod(codes, j + 2)
-    return rows, counts
+def _decode(m: int, codes: np.ndarray) -> np.ndarray:
+    """The rank matrix of the rankings with these slot codes: ``ranks[i, c]``
+    is the position of candidate c in ranking i."""
+    slots = []
+    for j in reversed(range(m - 1)):
+        slots.append((codes % (j + 2)).astype(np.int64))
+        codes = codes // (j + 2)
+    ranks = np.zeros((len(codes), m), dtype=np.min_scalar_type(m))
+    for c, slot in enumerate(reversed(slots), start=1):
+        # inserting candidate c at `slot` moves everyone at or below it down one
+        ranks[:, :c] += ranks[:, :c] >= slot[:, None]
+        ranks[:, c] = slot
+    return ranks
 
 
-def sample_ballots(model: MallowsModel, n: int, rng: np.random.Generator) -> list[tuple[Ballot, int]]:
-    """n i.i.d. draws as (ranking, count) pairs, each distinct ranking once.
+def sample_ranks(model: MallowsModel, n: int, rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
+    """n i.i.d. draws as (ranks, counts): the rank matrix of the distinct
+    rankings, each once, and how many voters drew each.
 
     Draws the same uniforms, in the same order, as ``rng.random((n, m - 1))``,
-    in blocks of at most ``_CHUNK_ROWS`` voters. Each column is mapped to its
-    insertion slot with ``searchsorted(side="right")`` (the ``bisect_right``
-    of :func:`sample`), and only the distinct slot rows are turned into
-    rankings.
+    in blocks of at most ``_CHUNK_ROWS`` voters; each block becomes slot
+    codes, a ``Counter`` merges them, and only the distinct codes are decoded.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     counter: Counter = Counter()
     for start in range(0, n, _CHUNK_ROWS):
         uniforms = rng.random((min(_CHUNK_ROWS, n - start), model.m - 1))
-        rows, counts = _distinct_rows(_insertion_slots(model, uniforms))
-        counter.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
-    return [(_insert_at(model, row), count) for row, count in counter.items()]
+        codes, counts = np.unique(_slot_codes(model, uniforms), return_counts=True)
+        counter.update(dict(zip(codes.tolist(), counts.tolist())))
+    distinct = np.array(list(counter), dtype=codes.dtype)  # every block's code dtype
+    return _decode(model.m, distinct), list(counter.values())
 
 
 def sample_profile(model: MallowsModel, n: int, rng: np.random.Generator) -> Profile:
-    """n i.i.d. draws aggregated into a weighted profile (see :func:`sample_ballots`)."""
-    return Profile.from_ballots(model.m, sample_ballots(model, n, rng))
+    """n i.i.d. draws aggregated into a weighted profile (see :func:`sample_ranks`)."""
+    ranks, counts = sample_ranks(model, n, rng)
+    return Profile.from_ballots(model.m, zip(map(tuple, ranks.argsort(axis=1).tolist()), counts))

@@ -358,4 +358,4 @@ def apply_rule(rule: RuleId, profile: Profile | TopKProfile, tb: TieBreak | None
     if tb is None:
         tb = TieBreak.by_index(profile.m)
     _check_input(rule, profile)
-    return IntegerTally.of(profile).winner(rule, rule.k, tb)
+    return IntegerTally.of(profile.m, profile.entries).winner(rule, rule.k, tb)

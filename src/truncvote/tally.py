@@ -1,7 +1,9 @@
 """Exact integer counts of one weighted ballot list, shared by every rule and every k.
 
 An :class:`IntegerTally` is built once per ballot list, complete or
-prefix/SOI, from the distinct ballots only. It holds two count tables:
+prefix/SOI, from its rank matrix and counts: the Mallows sampler's
+(:func:`truncvote.mallows.sample_ranks`) as they are, other ballots encoded
+and checked by :meth:`IntegerTally.of`. It holds two count tables:
 
 - the position counts ``C[c][p]``: total weight of the ballots that rank
   candidate c at position p (0-based, p < m);
@@ -10,13 +12,11 @@ prefix/SOI, from the distinct ballots only. It holds two count tables:
   not b. ``D[k-1]`` is ``dominance_tally(effective_truncate(ballots, k, m))``
   and, on complete ballots, ``D[m-1]`` is ``pairwise_tally``.
 
-A candidate a ballot leaves unranked sits at position m, so one formula
-covers top-k truncation and short SOI ballots alike. Every rule and every k
-reads these tables: PSR scores are integer sums over ``C`` with the vector
-scaled to integers, Copeland, Maximin and Ranked Pairs read ``D[k-1]``, and
-STV runs over the position matrix of the distinct ballots. Scores are Python
-ints, so they are exact; their ratios equal the ratios of the ``Fraction``
-scores of :mod:`truncvote.rules`, which the tests use as the oracle.
+Every rule and every k reads these tables: PSR scores are integer sums over
+``C`` with the vector scaled to integers, Copeland, Maximin and Ranked Pairs
+read ``D[k-1]``, and STV runs over the rank matrix. Scores are Python ints,
+so they are exact; their ratios equal the ratios of the ``Fraction`` scores
+of :mod:`truncvote.rules`, which the tests use as the oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +45,9 @@ _INT64_MAX = 2**63 - 1
 
 
 def _position_matrix(m: int, orders: Sequence[Sequence[int]]) -> np.ndarray:
-    """pos[i, c] = position of candidate c in ballot i, m if unranked.
+    """The rank matrix of the ballots: ``pos[i, c]`` is the 0-based position
+    of candidate c in ballot i, and m if the ballot leaves c unranked, so one
+    formula covers top-k prefixes and short SOI ballots alike.
 
     Rejects what the ballot builders reject: an empty ballot, an id outside
     0..m-1 and a repeated candidate.
@@ -90,7 +92,9 @@ def _rule_weights(
 
 
 class IntegerTally:
-    """Position counts and cumulative dominance counts of a weighted ballot list.
+    """Position counts and cumulative dominance counts of a weighted ballot list,
+    from its rank matrix (:func:`_position_matrix`, one row per distinct ballot)
+    and each row's positive int count; :meth:`of` checks the ballots it encodes.
 
     ``k=None`` in :meth:`scores` and :meth:`winner` means the complete rule,
     which needs complete ballots; an integer k evaluates the top-k rule on the
@@ -98,36 +102,35 @@ class IntegerTally:
     does.
     """
 
-    def __init__(self, m: int, ballots: Iterable[tuple[Sequence[int], int]]) -> None:
-        entries = list(ballots)
-        if not entries:
+    def __init__(self, ranks: np.ndarray, counts: Sequence[int]) -> None:
+        if len(counts) == 0:
             raise DomainError("a tally needs at least one ballot")
-        weights = [count for _, count in entries]
-        if any(count <= 0 for count in weights):
+        if min(counts) <= 0:
             raise DomainError("ballot counts must be positive")
-        orders = [order for order, _ in entries]
-        self.m = m
-        self.n = sum(weights)
-        self.complete = all(len(order) == m for order in orders)
+        self.m = m = ranks.shape[1]
+        self.n = sum(counts)
+        self.complete = bool((ranks < m).all())
         dtype = np.int64 if self.n <= _INT64_MAX else object
-        w = np.array(weights, dtype=dtype)
-        self._pos = _position_matrix(m, orders)
+        w = np.array(counts, dtype=dtype)
+        self._pos = ranks
         self._weights = w
         columns, layers = [], []
         dominance = np.zeros((m, m), dtype=dtype)
         for p in range(m):
             # weight of each ballot on the candidate it ranks at position p
-            at_p = (self._pos == p) * w[:, None]
+            at_p = (ranks == p) * w[:, None]
             columns.append(at_p.sum(axis=0))
-            dominance = dominance + at_p.T @ (self._pos > p)
+            dominance = dominance + at_p.T @ (ranks > p)
             layers.append(dominance.tolist())
         self._positions = np.stack(columns, axis=1).tolist()
         self._dominance = layers
 
     @classmethod
-    def of(cls, profile) -> "IntegerTally":
-        """The tally of a Profile or TopKProfile."""
-        return cls(profile.m, profile.entries)
+    def of(cls, m: int, ballots: Iterable[tuple[Sequence[int], int]]) -> "IntegerTally":
+        """The tally of distinct weighted ballots, rankings or prefixes of 0..m-1."""
+        entries = list(ballots)
+        return cls(_position_matrix(m, [order for order, _ in entries]),
+                   [count for _, count in entries])
 
     def _level(self, k: int | None) -> int:
         """The number of leading positions a rule at k reads (m if complete)."""

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -127,6 +128,19 @@ def test_sample_command_is_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
     code, out, _ = run(capsys, "parse-check", str(a))
     assert code == 0 and "n=30" in out
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("--m 1 --n 5 --phi 0.5 --seed 1",
+     "8a5cb8777ee1cbcca945bc2f3365a853556ff7cac214f5aca9061c326d0a3a5f"),
+    ("--m 7 --n 2000 --phi 0.7 --seed 1",
+     "9a9c3400bc984cd3a05f80126d07dba6adb0d8dd421176980fc955320ca0c11f"),
+    ("--m 21 --n 300 --phi 0.9 --seed 4",
+     "a2ac59de2d31c3acc1dcdddbb05b26a63bb758d7f00f22faecd0f90bfcaa0e31"),
+])
+def test_sample_output_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "sample", *argv.split())
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_experiment_success_csv(capsys):
@@ -292,3 +306,20 @@ def test_zero_voters_rejected_before_any_trial(capsys):
     code, _, err = run(capsys, *SUCCESS_CELL, "--k", "1", "--n", "0", "--phi", "0.5",
                        "--workers", "2")
     assert code == 1 and "n must be >= 1" in err
+
+
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_sample_without_candidates_exits_1(capsys, m):
+    code, out, err = run(capsys, "sample", "--m", m, "--n", "5", "--phi", "0.5", "--seed", "1")
+    assert code == 1 and out == "" and f"m must be >= 1, got {m}" in err
+
+
+@pytest.mark.parametrize("m, phi, message", [
+    ("4", "0.5,1.5", "phi must be in (0, 1], got 1.5"),
+    ("0", "0.5", "m must be >= 1, got 0"),
+], ids=["phi", "m"])
+def test_bad_mallows_cell_rejected_before_any_trial(capsys, monkeypatch, m, phi, message):
+    monkeypatch.setattr(exp, "_map_trials", lambda *args: pytest.fail("a trial ran"))
+    code, out, err = run(capsys, "experiment", "success", "--rule", "borda", "--m", m,
+                         "--k", "1", "--n", "10", "--phi", phi, "--trials", "2", "--seed", "1")
+    assert code == 1 and out == "" and message in err

@@ -19,6 +19,7 @@ from truncvote import (
     write_csv,
 )
 from truncvote import experiments as exp
+from truncvote import tally as tally_mod
 from truncvote.experiments import (
     MIN_K_COLUMNS,
     RATIO_COLUMNS,
@@ -177,6 +178,27 @@ def test_mallows_experiment_is_deterministic():
     )
     assert run_success_rate(cfg) == run_success_rate(cfg)
     assert run_ratio(cfg) == run_ratio(cfg)
+
+
+def test_mallows_trial_builds_no_ranking_tuple(monkeypatch, example1):
+    # the sampler's rank matrix goes straight into the tally; only ballots
+    # given as ranking tuples pass through the encoder
+    cfg = ExperimentConfig(
+        MallowsSource(m=5, n=40, phi=0.8),
+        (parse_rule("borda:zero"), parse_rule("copeland"), parse_rule("maximin")),
+        (1, 2, 3),
+        trials=6,
+        base_seed=7,
+    )
+    expected = run_success_rate(cfg), run_ratio(cfg)
+
+    def encode(*args):
+        raise AssertionError("ranking tuples were encoded")
+
+    monkeypatch.setattr(tally_mod, "_position_matrix", encode)
+    assert (run_success_rate(cfg), run_ratio(cfg)) == expected
+    with pytest.raises(AssertionError, match="encoded"):
+        run_success_rate(_fixed_cfg(example1, ["borda:zero"], [1]))
 
 
 def test_worker_count_does_not_change_results():

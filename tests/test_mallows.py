@@ -56,12 +56,8 @@ def test_model_validation():
         MallowsModel(3, 0.0)
     with pytest.raises(DomainError):
         MallowsModel(3, 1.5)
-    with pytest.raises(DomainError):
-        MallowsModel(3, 0.5, sigma=(0, 0, 1))
-
-
-def test_sigma_defaults_to_identity():
-    assert MallowsModel(3, 0.5).sigma == (0, 1, 2)
+    with pytest.raises(DomainError, match="m must be >= 1, got 0"):
+        MallowsModel(0, 0.5)
 
 
 def test_sample_is_a_permutation_and_deterministic():

@@ -1,5 +1,5 @@
-"""IntegerTally against the Fraction oracle, and the block sampler against
-the one-ballot-at-a-time sampler."""
+"""IntegerTally against the Fraction oracle, and the block sampler and its
+rank matrix against the one-ballot-at-a-time sampler."""
 
 from bisect import bisect_right
 from collections import Counter
@@ -89,7 +89,7 @@ def _check_against_oracle(tally, rule, k, profile, tb):
 def test_complete_profiles_match_the_fraction_rules(election, width):
     m, ballots, tb = election
     profile = Profile.from_ballots(m, ballots)
-    tally = IntegerTally.of(profile)
+    tally = IntegerTally.of(profile.m, profile.entries)
     assert tally.pairwise() == pairwise_tally(profile)
     for rule in _rules(m, min(width, m)):
         _check_against_oracle(tally, rule, None, profile, tb)
@@ -100,7 +100,7 @@ def test_complete_profiles_match_the_fraction_rules(election, width):
 @given(elections(complete=False), st.integers(1, 8))
 def test_soi_ballots_match_the_fraction_rules(election, width):
     m, ballots, tb = election
-    tally = IntegerTally(m, ballots)
+    tally = IntegerTally.of(m, ballots)
     for k in range(1, m):
         topk = effective_truncate(ballots, k, m)
         assert tally.pairwise(k) == dominance_tally(topk)
@@ -126,7 +126,7 @@ def test_counts_above_int64_stay_exact():
     big = 2**62
     ballots = (((0, 1, 2), big), ((1, 2, 0), big), ((2, 0, 1), big - 1), ((0, 2, 1), 3))
     profile = Profile.from_ballots(3, ballots)
-    tally = IntegerTally.of(profile)
+    tally = IntegerTally.of(profile.m, profile.entries)
     assert tally.n == 3 * big + 2
     assert tally.pairwise() == pairwise_tally(profile)
     tb = TieBreak.by_index(3)
@@ -152,11 +152,11 @@ def test_psr_rejects_what_topk_psr_scores_rejects(head, s_star):
     with pytest.raises(DomainError):
         topk_psr_scores(effective_truncate(ballots, 2, 4), head, s_star)
     with pytest.raises(DomainError):
-        IntegerTally(4, ballots).psr(head, s_star)
+        IntegerTally.of(4, ballots).psr(head, s_star)
 
 
 def test_k_range_and_complete_rule_checks():
-    tally = IntegerTally(4, (((0, 1), 2), ((2, 3, 1, 0), 1)))
+    tally = IntegerTally.of(4, (((0, 1), 2), ((2, 3, 1, 0), 1)))
     tb = TieBreak.by_index(4)
     for rule in ("borda", "copeland", "maximin", "rp", "stv"):
         for k in (0, 4):
@@ -180,7 +180,7 @@ def test_k_range_and_complete_rule_checks():
 ])
 def test_invalid_ballots_are_rejected(ballots):
     with pytest.raises(DomainError):
-        IntegerTally(4, ballots)
+        IntegerTally.of(4, ballots)
 
 
 def _one_by_one(model: MallowsModel, n: int, seed: int) -> Profile:
@@ -194,10 +194,45 @@ def test_sampler_equals_one_ballot_at_a_time(m, n, phi, seed):
     model = MallowsModel(m, phi)
     profile = sample_profile(model, n, mallows.make_rng(seed))
     assert profile == _one_by_one(model, n, seed)
-    # the trial path's ballots: each ranking listed once, the same profile
-    ballots = mallows.sample_ballots(model, n, mallows.make_rng(seed))
-    assert len({order for order, _ in ballots}) == len(ballots)
-    assert Profile.from_ballots(m, ballots) == profile
+    # the trial path's rank matrix: each ranking listed once, every row a
+    # permutation of the positions 0..m-1
+    ranks, counts = mallows.sample_ranks(model, n, mallows.make_rng(seed))
+    assert len({tuple(row) for row in ranks.tolist()}) == len(ranks) == len(counts)
+    assert (np.sort(ranks, axis=1) == np.arange(m)).all()
+    assert sum(counts) == n
+
+
+def _check_decoded_ranks(model: MallowsModel, n: int, seed: int) -> None:
+    """The tally of the decoded rank matrix against the tally of the same
+    draws made one ranking tuple at a time: equal position counts, ``D[k-1]``
+    for every k, and every rule's winner at every k."""
+    m = model.m
+    sampled = IntegerTally(*mallows.sample_ranks(model, n, mallows.make_rng(seed)))
+    oracle = IntegerTally.of(m, _one_by_one(model, n, seed).entries)
+    assert sampled.n == oracle.n and sampled._positions == oracle._positions
+    assert sampled.pairwise(None) == oracle.pairwise(None)
+    for k in range(1, m):
+        assert sampled.pairwise(k) == oracle.pairwise(k)
+    tb = TieBreak.by_index(m)
+    for rule in _rules(m, max(1, m // 2)):
+        for k in (None, *range(1, m)):
+            try:
+                expected = oracle.winner(rule, k, tb)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    sampled.winner(rule, k, tb)
+                continue
+            assert sampled.winner(rule, k, tb) == expected, (rule, k)
+
+
+@given(st.integers(1, 9), st.integers(1, 300), st.floats(0.05, 1.0), st.integers(0, 2**32))
+def test_decoded_ranks_tally_like_the_ranking_tuples(m, n, phi, seed):
+    _check_decoded_ranks(MallowsModel(m, phi), n, seed)
+
+
+@pytest.mark.parametrize("m", [21])
+def test_decoded_ranks_beyond_int64_codes(m):
+    _check_decoded_ranks(MallowsModel(m, 0.9), 200, 5)
 
 
 def test_insertion_slots_are_bisect_right():
@@ -207,13 +242,18 @@ def test_insertion_slots_are_bisect_right():
     columns = [sorted({0.0, *cdfs[-1][:-1], *cdf[:-1], 0.5, 1 - 2**-53}) for cdf in cdfs]
     rows = len(columns[-1])
     uniforms = np.array([[col[i % len(col)] for col in columns] for i in range(rows)])
-    expected = [[bisect_right(cdfs[j], u) for j, u in enumerate(row)] for row in uniforms]
-    assert mallows._insertion_slots(model, uniforms).tolist() == expected
+    expected = []
+    for row in uniforms:
+        code = 0
+        for j, u in enumerate(row):  # step j's slot is the digit of radix j + 2
+            code = code * (j + 2) + bisect_right(cdfs[j], u)
+        expected.append(code)
+    assert mallows._slot_codes(model, uniforms).tolist() == expected
 
 
 @pytest.mark.parametrize("m", [20, 21, 23])
 def test_sampler_beyond_int64_codes(m):
-    # m! passes 2**63 at m = 21: those rows are deduplicated without a code
+    # m! passes 2**63 at m = 21: from there the slot codes are Python ints
     model = MallowsModel(m, 0.9)
     assert sample_profile(model, 300, mallows.make_rng(4)) == _one_by_one(model, 300, 4)
 
