@@ -59,15 +59,16 @@ def _parse_priority(text: str) -> list[int]:
     return _parse_list(text, int)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    try:
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an integer >= low; argparse itself reports a non-integer."""
+
+    def integer(text: str) -> int:
         value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -279,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sample)
 
@@ -311,9 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(q, mallows: bool, ties: bool = True) -> None:
         q.add_argument("--rule", action="append", required=True,
                        help="rule string; repeat or comma-separate")
-        q.add_argument("--trials", type=_positive_int, required=True)
-        q.add_argument("--seed", type=int, required=True)
-        q.add_argument("--workers", type=_positive_int, default=1)
+        q.add_argument("--trials", type=_int_at_least(1), required=True)
+        q.add_argument("--seed", type=_int_at_least(0), required=True)
+        q.add_argument("--workers", type=_int_at_least(1), default=1)
         q.add_argument("--tiebreak", type=_parse_priority,
                        help="priority as 0-based indices, e.g. 3,0,1,2")
         if ties:

@@ -75,6 +75,10 @@ class PreflibSource:
     dataset: ElectionDataset
     n_star: int
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.n_star <= self.dataset.n:
+            raise DomainError(f"n_star must be in [1, {self.dataset.n}], got {self.n_star}")
+
     @property
     def m(self) -> int:
         return self.dataset.m
@@ -113,6 +117,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise DomainError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.ties not in TIE_CONVENTIONS:
             raise DomainError(f"unknown tie convention {self.ties!r}")
         if self.ties == "fail-on-true-tie":
@@ -131,7 +137,7 @@ class ExperimentConfig:
             )
         object.__setattr__(self, "rules", tuple(r.at_k(None) for r in self.rules))
 
-    @property
+    @cached_property
     def tb(self) -> TieBreak:
         return self.tiebreak or TieBreak.by_index(self.source.m)
 
@@ -257,19 +263,19 @@ def sweep_real_data(
     workers: int = 1,
     ties: str = "priority",
 ) -> list[dict]:
-    """Success rate over resampled sub-elections for each (n*, rule, k)."""
-    if max(n_star_grid) > ds.n:
-        raise DomainError(f"n_star grid exceeds dataset size {ds.n}")
-    rows = []
-    for n_star in n_star_grid:
-        cfg = ExperimentConfig(
+    """Success rate over resampled sub-elections for each (n*, rule, k). Every
+    n* cell's config is built, and so checked, before any trial runs."""
+    configs = [
+        ExperimentConfig(
             PreflibSource(ds, n_star), tuple(rules), tuple(k_grid), trials, seed, tiebreak, ties
         )
-        rows += [
-            {column: row["n" if column == "n_star" else column] for column in REAL_SWEEP_COLUMNS}
-            for row in run_success_rate(cfg, workers)
-        ]
-    return rows
+        for n_star in n_star_grid
+    ]
+    return [
+        {column: row["n" if column == "n_star" else column] for column in REAL_SWEEP_COLUMNS}
+        for cfg in configs
+        for row in run_success_rate(cfg, workers)
+    ]
 
 
 def write_csv(rows: Sequence[dict], destination, columns: Sequence[str] | None = None) -> None:

@@ -152,34 +152,24 @@ def co_winners(scores: Sequence[Fraction]) -> list[int]:
 
 
 def ranked_pairs_winner(tally: PairwiseTally, tb: TieBreak) -> int:
-    """Lock pairs by descending tally, skipping any pair that closes a cycle.
+    """Lock pairs by descending tally, skipping any pair that closes a cycle;
+    the winner is the highest-priority candidate no locked pair beats.
 
     Equal tallies are ordered lexicographically by (winner, loser) priority.
+    Bit d of ``reach[c]`` is set exactly when c reaches d through locked
+    pairs, so locking a over b closes a cycle exactly when ``reach[b]`` has
+    bit a; otherwise every c whose ``reach[c]`` has bit a gains ``reach[b]``.
     """
-    m = tally.m
-    if m == 1:
-        return 0
-    pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
-    pairs.sort(key=lambda p: (-tally.counts[p[0]][p[1]], tb.rank(p[0]), tb.rank(p[1])))
-    locked = [[False] * m for _ in range(m)]
-
-    def reaches(src: int, dst: int) -> bool:
-        stack, seen = [src], {src}
-        while stack:
-            u = stack.pop()
-            if u == dst:
-                return True
-            for v in range(m):
-                if locked[u][v] and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return False
-
+    counts, order = tally.counts, tb.priority
+    pairs = [(a, b) for a in order for b in order if a != b]
+    pairs.sort(key=lambda p: -counts[p[0]][p[1]])  # stable: ties keep priority order
+    reach = [1 << c for c in range(tally.m)]
+    beaten = 0
     for a, b in pairs:
-        if not reaches(b, a):
-            locked[a][b] = True
-    sources = [c for c in range(m) if not any(locked[d][c] for d in range(m))]
-    return tb.best(sources)
+        if not reach[b] >> a & 1:
+            reach = [row | reach[b] if row >> a & 1 else row for row in reach]
+            beaten |= 1 << b
+    return next(c for c in order if not beaten >> c & 1)
 
 
 def stv_winner(profile: Profile | TopKProfile, tb: TieBreak) -> int:

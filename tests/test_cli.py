@@ -143,6 +143,20 @@ def test_sample_output_bytes_are_pinned(capsys, argv, digest):
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+RP_M15 = "experiment success --rule rp --m 15 --n 60 --phi 0.95 --k 1:14 --trials 40 --seed 5"
+
+
+@pytest.mark.parametrize("extra, digest", [
+    ("", "ffbc3e6f0eaccf6f397c75d3519ed53508e17f0fbe5bcb9b17ea65ae2d1ba452"),
+    ("--workers 2", "ffbc3e6f0eaccf6f397c75d3519ed53508e17f0fbe5bcb9b17ea65ae2d1ba452"),
+    ("--tiebreak 3,14,0,9,1,12,5,7,2,11,4,13,6,10,8",
+     "365835b976f9ad63dadff7b9bf21e385ee53b50e75bde4553c69f5f2edf0e934"),
+], ids=["serial", "workers2", "tiebreak"])
+def test_ranked_pairs_output_bytes_are_pinned_at_m15(capsys, extra, digest):
+    code, out, _ = run(capsys, *RP_M15.split(), *extra.split())
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_experiment_success_csv(capsys):
     code, out, _ = run(capsys, "experiment", "success", "--rule", "copeland,borda:zero",
                        "--k", "1,2", "--m", "4", "--n", "20", "--phi", "0.8",
@@ -281,6 +295,9 @@ SUCCESS_CELL = ("experiment", "success", "--rule", "borda", "--m", "4", "--trial
       "--rule", "borda", "--trials", "2", "--seed", "1"), "--n-star"),
     ((*SUCCESS_CELL, "--k", "1", "--n", "10", "--phi", "0.5", "--tiebreak", "x,y"), "--tiebreak"),
     (("winner", "--rule", "borda", "--profile", "unused.soc", "--tiebreak", "0,b"), "--tiebreak"),
+    (("sample", "--m", "3", "--n", "5", "--phi", "0.5", "--seed", "-1"), "--seed"),
+    (("experiment", "real-sweep", "--data", "unused.soi", "--n-star", "5", "--k", "1",
+      "--rule", "borda", "--trials", "2", "--seed", "-2"), "--seed"),
 ])
 def test_bad_list_exits_2_naming_the_option(capsys, argv, option):
     try:
@@ -294,6 +311,7 @@ def test_bad_list_exits_2_naming_the_option(capsys, argv, option):
 @pytest.mark.parametrize("option, value", [
     ("--workers", "0"), ("--workers", "-3"), ("--workers", "two"),
     ("--trials", "0"), ("--trials", "-1"), ("--trials", "1.5"),
+    ("--seed", "-1"), ("--seed", "x"),
 ])
 def test_bad_count_exits_2_naming_the_option(capsys, option, value):
     argv = [*SUCCESS_CELL, "--k", "1", "--n", "10", "--phi", "0.5", option, value]
@@ -322,4 +340,20 @@ def test_bad_mallows_cell_rejected_before_any_trial(capsys, monkeypatch, m, phi,
     monkeypatch.setattr(exp, "_map_trials", lambda *args: pytest.fail("a trial ran"))
     code, out, err = run(capsys, "experiment", "success", "--rule", "borda", "--m", m,
                          "--k", "1", "--n", "10", "--phi", phi, "--trials", "2", "--seed", "1")
+    assert code == 1 and out == "" and message in err
+
+
+@pytest.mark.parametrize("n_star, message", [
+    ("100,0", "n_star must be in [1, 120], got 0"),
+    ("20,100000", "n_star must be in [1, 120], got 100000"),
+], ids=["zero", "above_n"])
+def test_bad_real_sweep_cell_rejected_before_any_trial(capsys, monkeypatch, tmp_path, n_star,
+                                                       message):
+    data = tmp_path / "sampled.soc"
+    run(capsys, "sample", "--m", "4", "--n", "120", "--phi", "0.8", "--seed", "1",
+        "--out", str(data))
+    monkeypatch.setattr(exp, "_map_trials", lambda *args: pytest.fail("a trial ran"))
+    code, out, err = run(capsys, "experiment", "real-sweep", "--data", str(data),
+                         "--n-star", n_star, "--k", "1", "--rule", "borda", "--trials", "2",
+                         "--seed", "1")
     assert code == 1 and out == "" and message in err

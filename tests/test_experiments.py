@@ -50,11 +50,18 @@ def test_config_validation(example1):
     with pytest.raises(DomainError, match="tie-break priority"):
         ExperimentConfig(FixedSource(example1), (parse_rule("borda"),), (1,), 3, 0,
                          TieBreak((0, 1, 2)))
+    with pytest.raises(DomainError, match="base_seed must be >= 0, got -1"):
+        ExperimentConfig(FixedSource(example1), (parse_rule("borda"),), (1,), 3, -1)
 
 
 def test_config_strips_k_from_rules(example1):
     cfg = _fixed_cfg(example1, ["copeland@k=2"], [1])
     assert cfg.rules[0].k is None
+
+
+def test_default_tiebreak_is_built_once(example1):
+    cfg = _fixed_cfg(example1, ["rp"], [1])
+    assert cfg.tb is cfg.tb and cfg.tb == TieBreak.by_index(4)
 
 
 def test_success_rate_on_fixed_profile(example1):

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from truncvote import (
     DomainError,
+    PairwiseTally,
     Profile,
     RuleParseError,
     TieBreak,
@@ -111,6 +114,76 @@ def test_ranked_pairs_skips_cycles():
         3, [((0, 1, 2), 4), ((1, 2, 0), 3), ((2, 0, 1), 2)]
     )
     assert ranked_pairs_winner(pairwise_tally(p), TieBreak.by_index(3)) == 0
+
+
+def _ranked_pairs_by_search(tally, tb):
+    """Reference Ranked Pairs: a fresh graph search over the locked pairs for
+    every pair, then the highest-priority candidate with no locked pair into it."""
+    m = tally.m
+    pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
+    pairs.sort(key=lambda p: (-tally.counts[p[0]][p[1]], tb.rank(p[0]), tb.rank(p[1])))
+    locked = [[False] * m for _ in range(m)]
+
+    def reaches(src, dst):
+        stack, seen = [src], {src}
+        while stack:
+            u = stack.pop()
+            if u == dst:
+                return True
+            for v in range(m):
+                if locked[u][v] and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return False
+
+    for a, b in pairs:
+        if not reaches(b, a):
+            locked[a][b] = True
+    return tb.best(c for c in range(m) if not any(locked[d][c] for d in range(m)))
+
+
+# counts drawn from 0..3, so equal counts, and hence priority-ordered ties, are common
+@st.composite
+def rp_cases(draw):
+    m = draw(st.integers(1, 9))
+    counts = [[0 if a == b else draw(st.integers(0, 3)) for b in range(m)] for a in range(m)]
+    tb = TieBreak(tuple(draw(st.permutations(range(m)))))
+    return counts, tb
+
+
+def _tally(counts):
+    return PairwiseTally(len(counts), 2 * max(map(max, counts)),
+                         tuple(tuple(row) for row in counts))
+
+
+@given(rp_cases())
+def test_ranked_pairs_equals_search_oracle(case):
+    counts, tb = case
+    tally = _tally(counts)
+    assert ranked_pairs_winner(tally, tb) == _ranked_pairs_by_search(tally, tb)
+
+
+def test_ranked_pairs_equals_search_oracle_on_every_small_tally():
+    off_diagonal = [(a, b) for a in range(3) for b in range(3) if a != b]
+    for values in product(range(3), repeat=len(off_diagonal)):
+        counts = [[0] * 3 for _ in range(3)]
+        for (a, b), value in zip(off_diagonal, values):
+            counts[a][b] = value
+        tally = _tally(counts)
+        for priority in permutations(range(3)):
+            tb = TieBreak(priority)
+            assert ranked_pairs_winner(tally, tb) == _ranked_pairs_by_search(tally, tb)
+
+
+@given(rp_cases(), st.data())
+def test_ranked_pairs_elects_the_candidate_beating_every_rival(case, data):
+    counts, tb = case
+    m = len(counts)
+    winner = data.draw(st.integers(0, m - 1))
+    for rival in range(m):
+        if rival != winner:
+            counts[winner][rival] = counts[rival][winner] + data.draw(st.integers(1, 3))
+    assert ranked_pairs_winner(_tally(counts), tb) == winner
 
 
 def test_stv_on_fixture(example1):
