@@ -1,9 +1,13 @@
 """Core data model: candidates, ballots, profiles, tallies.
 
-Candidates are dense integer ids ``0..m-1``. Profiles are weighted multisets
-of ballots (ballot, count), so electorates with millions of voters but few
-distinct ballots stay cheap. Everything here is immutable and every
-operation is a pure function; tallies are exact integers.
+Candidates are dense integer ids ``0..m-1`` and a ballot is a non-empty
+prefix of distinct ids. Profiles are weighted multisets of ballots (ballot,
+count), so electorates with millions of voters but few distinct ballots stay
+cheap. Everything here is immutable and every operation is a pure function;
+tallies are exact integers.
+
+Every weighted ballot list passes one numpy check, :func:`_position_matrix`:
+the containers through :func:`_checked_entries`, the integer tally directly.
 """
 
 from __future__ import annotations
@@ -11,7 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 Ballot = tuple[int, ...]
+Entries = tuple[tuple[Ballot, int], ...]
+WeightedBallots = Iterable[tuple[Sequence[int], int]]  # (ballot, count) pairs
 
 
 class DomainError(ValueError):
@@ -23,24 +31,42 @@ def _validate_permutation(order: Sequence[int], m: int) -> None:
         raise DomainError(f"not a permutation of 0..{m - 1}: {order!r}")
 
 
-def _validate_prefix(order: Sequence[int], m: int) -> None:
-    if not order:
-        raise DomainError("empty ballot")
-    if len(set(order)) != len(order):
-        raise DomainError(f"repeated candidate in ballot {order!r}")
-    if any(not 0 <= c < m for c in order):
-        raise DomainError(f"candidate id out of range in {order!r}")
+def _position_matrix(m: int, orders: Sequence[Sequence[int]]) -> np.ndarray:
+    """The rank matrix of the ballots: ``pos[i, c]`` is the 0-based position
+    of candidate c in ballot i, and m if the ballot leaves c unranked.
+
+    Rejects an empty ballot, an id outside 0..m-1 and a repeated candidate.
+    """
+    pos = np.full((len(orders), m), m, dtype=np.min_scalar_type(m))
+    by_length: dict[int, list[int]] = {}
+    for i, order in enumerate(orders):
+        by_length.setdefault(len(order), []).append(i)
+    for length, rows in by_length.items():
+        if length == 0:
+            raise DomainError("empty ballot")
+        ids = np.array([orders[i] for i in rows], dtype=np.int64)
+        if ids.min() < 0 or ids.max() >= m:
+            raise DomainError(f"candidate id out of range 0..{m - 1}")
+        index = np.array(rows)
+        pos[index[:, None], ids] = np.arange(length)
+        if ((pos[index] < m).sum(axis=1) != length).any():
+            raise DomainError("repeated candidate in a ballot")
+    return pos
 
 
-def _merge_ballots(ballots: Iterable[tuple[Sequence[int], int]]) -> tuple[tuple[Ballot, int], ...]:
-    """Aggregate duplicate ballots; canonical (sorted) entry order."""
+def _checked_entries(m: int, ballots: WeightedBallots) -> tuple[Entries, np.ndarray]:
+    """The list's duplicates merged, in canonical (sorted) order, and the rank
+    matrix of these distinct ballots; rejects a count <= 0 and an empty list."""
     acc: dict[Ballot, int] = {}
     for order, count in ballots:
         if count <= 0:
             raise DomainError(f"ballot count must be positive, got {count}")
         key = tuple(order)
         acc[key] = acc.get(key, 0) + count
-    return tuple(sorted(acc.items()))
+    if not acc:
+        raise DomainError("a ballot list needs at least one ballot")
+    entries = tuple(sorted(acc.items()))
+    return entries, _position_matrix(m, [order for order, _ in entries])
 
 
 @dataclass(frozen=True)
@@ -72,15 +98,13 @@ class Profile:
     """Weighted multiset of complete rankings over m candidates."""
 
     m: int
-    entries: tuple[tuple[Ballot, int], ...]
+    entries: Entries
 
     @classmethod
-    def from_ballots(cls, m: int, ballots: Iterable[tuple[Sequence[int], int]]) -> "Profile":
-        entries = _merge_ballots(ballots)
-        if not entries:
-            raise DomainError("profile must contain at least one ballot")
-        for order, _ in entries:
-            _validate_permutation(order, m)
+    def from_ballots(cls, m: int, ballots: WeightedBallots) -> "Profile":
+        entries, ranks = _checked_entries(m, ballots)
+        if not (ranks < m).all():
+            raise DomainError(f"every ballot must rank all {m} candidates")
         return cls(m, entries)
 
     @property
@@ -98,21 +122,15 @@ class TopKProfile:
 
     m: int
     k: int
-    entries: tuple[tuple[Ballot, int], ...]
+    entries: Entries
 
     @classmethod
-    def from_ballots(
-        cls, m: int, k: int, ballots: Iterable[tuple[Sequence[int], int]]
-    ) -> "TopKProfile":
+    def from_ballots(cls, m: int, k: int, ballots: WeightedBallots) -> "TopKProfile":
         if not 1 <= k <= m - 1:
             raise DomainError(f"k must be in [1, m-1], got k={k}, m={m}")
-        entries = _merge_ballots(ballots)
-        if not entries:
-            raise DomainError("top-k profile must contain at least one ballot")
-        for order, _ in entries:
-            _validate_prefix(order, m)
-            if len(order) > k:
-                raise DomainError(f"ballot {order!r} longer than k={k}")
+        entries, ranks = _checked_entries(m, ballots)
+        if (ranks == k).any():  # some ballot fills position k
+            raise DomainError(f"a ballot is longer than k={k}")
         return cls(m, k, entries)
 
     @property
@@ -131,8 +149,6 @@ class PairwiseTally:
 
 def truncate(profile: Profile, k: int) -> TopKProfile:
     """Top-k truncation: keep the length-k prefix of every ranking."""
-    if not 1 <= k <= profile.m - 1:
-        raise DomainError(f"k must be in [1, m-1], got k={k}, m={profile.m}")
     return TopKProfile.from_ballots(
         profile.m, k, ((order[:k], count) for order, count in profile.entries)
     )

@@ -190,7 +190,10 @@ def _cmd_bounds(args) -> int:
         rows = []
         for m in args.m:
             for k in (k for k in args.k if k < m):  # no bound is defined at k >= m
-                bound = _bounds_for(rule, m, k)
+                try:
+                    bound = _bounds_for(rule, m, k)
+                except DomainError:  # nor where the rule itself has none at this m
+                    continue
                 rows.append({"rule": rule.label, "m": str(m), "k": str(k),
                              "lower": _fmt_ratio(bound.lower), "upper": _fmt_ratio(bound.upper),
                              "attained": _attained(rule, m, k) if args.attained else ""})

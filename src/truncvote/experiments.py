@@ -129,6 +129,8 @@ class ExperimentConfig:
                         f"one of {', '.join(SCORED_FAMILIES)}"
                     )
         m = self.source.m
+        if not self.k_values:
+            raise DomainError(f"no k in [1, m-1] for m = {m}")
         if any(not 1 <= k <= m - 1 for k in self.k_values):
             raise DomainError(f"k values must lie in [1, {m - 1}]")
         if self.tiebreak is not None and len(self.tiebreak.priority) != m:

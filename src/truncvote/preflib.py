@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .ballots import Ballot, DomainError, TopKProfile, _merge_ballots, _validate_prefix
+from .ballots import Ballot, DomainError, Entries, TopKProfile, WeightedBallots, _checked_entries
 
 
 class PreflibParseError(ValueError):
@@ -31,20 +31,13 @@ class ElectionDataset:
 
     m: int
     candidate_names: tuple[str, ...]
-    ballots: tuple[tuple[Ballot, int], ...]
+    ballots: Entries
 
     @classmethod
-    def from_ballots(
-        cls, m: int, names: Sequence[str], ballots: Iterable[tuple[Sequence[int], int]]
-    ) -> "ElectionDataset":
+    def from_ballots(cls, m: int, names: Sequence[str], ballots: WeightedBallots) -> "ElectionDataset":
         if len(names) != m:
             raise DomainError("need one name per candidate")
-        entries = _merge_ballots(ballots)
-        if not entries:
-            raise DomainError("dataset must contain at least one ballot")
-        for order, _ in entries:
-            _validate_prefix(order, m)
-        return cls(m, tuple(names), entries)
+        return cls(m, tuple(names), _checked_entries(m, ballots)[0])
 
     # computed once per dataset: resample reads both in every trial
     @cached_property
@@ -226,7 +219,7 @@ def resample(
     n_star: int,
     rng: np.random.Generator,
     with_replacement: bool = False,
-) -> tuple[tuple[Ballot, int], ...]:
+) -> Entries:
     """Draw n_star voters at random from the dataset (default: distinct voters)."""
     if not 1 <= n_star <= ds.n:
         raise DomainError(f"n_star must be in [1, {ds.n}], got {n_star}")
@@ -241,9 +234,7 @@ def resample(
     return tuple(zip([ds.ballots[i][0] for i in drawn.tolist()], picked[drawn].tolist()))
 
 
-def effective_truncate(
-    ballots: Iterable[tuple[Sequence[int], int]], k: int, m: int
-) -> TopKProfile:
+def effective_truncate(ballots: WeightedBallots, k: int, m: int) -> TopKProfile:
     """Cut each ballot to its length-min(k, len) prefix; short ballots pass through."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")

@@ -3,7 +3,8 @@
 An :class:`IntegerTally` is built once per ballot list, complete or
 prefix/SOI, from its rank matrix and counts: the Mallows sampler's
 (:func:`truncvote.mallows.sample_ranks`) as they are, other ballots encoded
-and checked by :meth:`IntegerTally.of`. It holds two count tables:
+and checked by :meth:`IntegerTally.of` through the ballot check of
+:mod:`truncvote.ballots`. It holds two count tables:
 
 - the position counts ``C[c][p]``: total weight of the ballots that rank
   candidate c at position p (0-based, p < m);
@@ -24,11 +25,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .ballots import DomainError, PairwiseTally, TieBreak
+from .ballots import DomainError, PairwiseTally, TieBreak, WeightedBallots, _position_matrix
 from .rules import (
     SCORED_FAMILIES,
     RuleId,
@@ -42,31 +43,6 @@ from .rules import (
 # counts never exceed the total weight n, so int64 holds every partial sum
 # when n does; above that the tables use Python ints (numpy object arrays)
 _INT64_MAX = 2**63 - 1
-
-
-def _position_matrix(m: int, orders: Sequence[Sequence[int]]) -> np.ndarray:
-    """The rank matrix of the ballots: ``pos[i, c]`` is the 0-based position
-    of candidate c in ballot i, and m if the ballot leaves c unranked, so one
-    formula covers top-k prefixes and short SOI ballots alike.
-
-    Rejects what the ballot builders reject: an empty ballot, an id outside
-    0..m-1 and a repeated candidate.
-    """
-    pos = np.full((len(orders), m), m, dtype=np.min_scalar_type(m))
-    by_length: dict[int, list[int]] = {}
-    for i, order in enumerate(orders):
-        by_length.setdefault(len(order), []).append(i)
-    for length, rows in by_length.items():
-        if length == 0:
-            raise DomainError("empty ballot")
-        ids = np.array([orders[i] for i in rows], dtype=np.int64)
-        if ids.min() < 0 or ids.max() >= m:
-            raise DomainError(f"candidate id out of range 0..{m - 1}")
-        index = np.array(rows)
-        pos[index[:, None], ids] = np.arange(length)
-        if ((pos[index] < m).sum(axis=1) != length).any():
-            raise DomainError("repeated candidate in a ballot")
-    return pos
 
 
 def _scaled_head(head: Sequence[Fraction], s_star: Fraction) -> tuple[int, tuple[int, ...]]:
@@ -126,7 +102,7 @@ class IntegerTally:
         self._dominance = layers
 
     @classmethod
-    def of(cls, m: int, ballots: Iterable[tuple[Sequence[int], int]]) -> "IntegerTally":
+    def of(cls, m: int, ballots: WeightedBallots) -> "IntegerTally":
         """The tally of distinct weighted ballots, rankings or prefixes of 0..m-1."""
         entries = list(ballots)
         return cls(_position_matrix(m, [order for order, _ in entries]),

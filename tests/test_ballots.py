@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from truncvote import (
     DomainError,
+    ElectionDataset,
+    IntegerTally,
     Profile,
     TieBreak,
     TopKProfile,
@@ -104,3 +107,92 @@ def test_tiebreak_priority():
     assert TieBreak.by_index(3).priority == (0, 1, 2)
     with pytest.raises(DomainError):
         TieBreak((0, 0, 1))
+
+
+# The per-ballot rules the containers once applied, kept as the oracle of
+# the one numpy check every weighted ballot list now goes through.
+
+
+def _oracle_permutation(order, m):
+    if len(order) != m or set(order) != set(range(m)):
+        raise DomainError(f"not a permutation of 0..{m - 1}: {order!r}")
+
+
+def _oracle_prefix(order, m):
+    if not order:
+        raise DomainError("empty ballot")
+    if len(set(order)) != len(order):
+        raise DomainError(f"repeated candidate in ballot {order!r}")
+    if any(not 0 <= c < m for c in order):
+        raise DomainError(f"candidate id out of range in {order!r}")
+
+
+def _oracle_merge(ballots):
+    acc = {}
+    for order, count in ballots:
+        if count <= 0:
+            raise DomainError(f"ballot count must be positive, got {count}")
+        key = tuple(order)
+        acc[key] = acc.get(key, 0) + count
+    return tuple(sorted(acc.items()))
+
+
+def _oracle_entries(ballots, check):
+    """The oracle's merged entries, or None where it rejects the list."""
+    try:
+        entries = _oracle_merge(ballots)
+        if not entries:
+            raise DomainError("empty ballot list")
+        for order, _ in entries:
+            check(order)
+    except DomainError:
+        return None
+    return entries
+
+
+def _accepted(build, field="entries"):
+    """The field of what build() returns, or None where it raises DomainError."""
+    try:
+        return getattr(build(), field)
+    except DomainError:
+        return None
+
+
+@st.composite
+def ballot_lists(draw):
+    """m in 1..6 and 0-6 weighted ballots with ids in -1..m, lengths 0..m+1
+    and counts in -1..3. Three ballots in four are non-empty prefixes of a
+    permutation with a positive count, so valid lists are common."""
+    m = draw(st.integers(1, 6))
+    prefix = st.tuples(st.permutations(range(m)), st.integers(1, m)).map(lambda p: p[0][: p[1]])
+    anything = st.tuples(st.lists(st.integers(-1, m), max_size=m + 1), st.integers(-1, 3))
+    entry = st.integers(0, 3).flatmap(
+        lambda i: anything if i == 0 else st.tuples(prefix, st.integers(1, 3))
+    )
+    return m, draw(st.lists(entry, max_size=6))
+
+
+@settings(max_examples=500)
+@given(ballot_lists())
+def test_one_check_rejects_what_the_per_ballot_rules_reject(drawn):
+    m, ballots = drawn
+
+    def longest(k):
+        def check(order):
+            _oracle_prefix(order, m)
+            if len(order) > k:
+                raise DomainError(f"ballot {order!r} longer than k={k}")
+        return check
+
+    assert _accepted(lambda: Profile.from_ballots(m, ballots)) == _oracle_entries(
+        ballots, lambda order: _oracle_permutation(order, m)
+    )
+    for k in range(1, m):
+        assert _accepted(lambda: TopKProfile.from_ballots(m, k, ballots)) == (
+            _oracle_entries(ballots, longest(k))
+        )
+    names = [str(c) for c in range(m)]
+    dataset = _accepted(lambda: ElectionDataset.from_ballots(m, names, ballots), "ballots")
+    assert dataset == _oracle_entries(ballots, lambda order: _oracle_prefix(order, m))
+    tally = _accepted(lambda: IntegerTally.of(m, ballots), "n")
+    assert (tally is None) == (dataset is None)

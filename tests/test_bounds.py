@@ -165,7 +165,7 @@ def test_price_uses_complete_scores(example1):
 
 
 def test_random_profiles_never_exceed_upper_bound():
-    # scaled-down seeded search; scripts/run_bound_search.py runs the full one
+    # seeded random search: no sampled profile's ratio beats the stated upper bound
     import numpy as np
 
     from truncvote import sample_profile

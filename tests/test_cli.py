@@ -87,6 +87,30 @@ def test_bounds_csv_grid_skips_undefined_cells(capsys):
     # one cell without --csv still exits 1
     code, _, err = run(capsys, "bounds", "--rule", "maximin", "--m", "4", "--k", "4")
     assert code == 1 and "k must be in [1, m-1]" in err
+    # --csv also leaves out cells where the rule itself has no bound:
+    # approval3 needs m >= 3, and approval2:avg has no valid head at m = 2
+    code, out, _ = run(capsys, "bounds", "--rule", "approval3", "--m", "2:5", "--k", "1:4",
+                       "--csv")
+    assert code == 0 and out == run(capsys, "bounds", "--rule", "approval3", "--m", "3:5",
+                                    "--k", "1:4", "--csv")[1]
+    code, out, _ = run(capsys, "bounds", "--rule", "approval2:avg", "--m", "2:4", "--k", "1:3",
+                       "--csv", "--attained")
+    assert code == 0 and all(line.split(",")[1] != "2" for line in out.splitlines())
+
+
+@pytest.mark.parametrize("rule, digest", [
+    ("borda:zero", "133d46138fa7f458dee60a277a90a0ceab7db082056f9befff41d70c60cafce0"),
+    ("borda:avg", "078890fc669ecac1c56965de32e1808de26b830437cd85147095475470b6e074"),
+    ("harmonic:zero", "0e722957e1f50e22bf87905ebc7c1afe27de82fa116584897b6e0234bce25258"),
+    ("harmonic:avg", "986758322c4c9c29ad0f649b098acfec421d8a4574401e70f60f1f79b006f833"),
+    ("maximin", "328270418a55ddad2dd09275bef235ea15bbe6518386f88b54a11809598aa2c5"),
+    ("copeland", "d217558d3af309e7b580ddb5447d1ebab8466caec02d0f231ca28bf08f7ac831"),
+])
+def test_bounds_witness_output_bytes_are_pinned(capsys, rule, digest):
+    # every witness profile of m = 4..8 passes through the ballot check
+    code, out, _ = run(capsys, "bounds", "--rule", rule, "--m", "4:8", "--k", "1:7", "--csv",
+                       "--attained")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_bounds_unsupported_rule_exits_1(capsys):
@@ -332,14 +356,16 @@ def test_sample_without_candidates_exits_1(capsys, m):
     assert code == 1 and out == "" and f"m must be >= 1, got {m}" in err
 
 
-@pytest.mark.parametrize("m, phi, message", [
-    ("4", "0.5,1.5", "phi must be in (0, 1], got 1.5"),
-    ("0", "0.5", "m must be >= 1, got 0"),
-], ids=["phi", "m"])
-def test_bad_mallows_cell_rejected_before_any_trial(capsys, monkeypatch, m, phi, message):
+@pytest.mark.parametrize("mode, k, m, phi, message", [
+    ("success", ("--k", "1"), "4", "0.5,1.5", "phi must be in (0, 1], got 1.5"),
+    ("success", ("--k", "1"), "0", "0.5", "m must be >= 1, got 0"),
+    ("min-k", (), "1", "0.5", "no k in [1, m-1] for m = 1"),
+], ids=["phi", "m", "no_k"])
+def test_bad_mallows_cell_rejected_before_any_trial(capsys, monkeypatch, mode, k, m, phi,
+                                                    message):
     monkeypatch.setattr(exp, "_map_trials", lambda *args: pytest.fail("a trial ran"))
-    code, out, err = run(capsys, "experiment", "success", "--rule", "borda", "--m", m,
-                         "--k", "1", "--n", "10", "--phi", phi, "--trials", "2", "--seed", "1")
+    code, out, err = run(capsys, "experiment", mode, "--rule", "borda", "--m", m, *k,
+                         "--n", "10", "--phi", phi, "--trials", "2", "--seed", "1")
     assert code == 1 and out == "" and message in err
 
 

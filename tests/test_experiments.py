@@ -47,6 +47,8 @@ def test_config_validation(example1):
         _fixed_cfg(example1, ["borda"], [4])
     with pytest.raises(DomainError):
         _fixed_cfg(example1, ["borda"], [0])
+    with pytest.raises(DomainError, match=r"no k in \[1, m-1\] for m = 4"):
+        _fixed_cfg(example1, ["borda"], [])
     with pytest.raises(DomainError, match="tie-break priority"):
         ExperimentConfig(FixedSource(example1), (parse_rule("borda"),), (1,), 3, 0,
                          TieBreak((0, 1, 2)))
