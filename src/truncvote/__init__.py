@@ -24,6 +24,7 @@ from .bounds import (
     RatioBound,
     UnsupportedRuleError,
     copeland_adversarial,
+    copeland_bounds,
     is_infinite,
     maximin_adversarial,
     maximin_bounds,

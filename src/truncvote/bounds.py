@@ -175,6 +175,14 @@ def maximin_bounds(m: int, k: int) -> RatioBound:
     return RatioBound(Fraction(m - k), Fraction(m - k + 1))
 
 
+def copeland_bounds(m: int, k: int) -> RatioBound:
+    """Unbounded at every valid k: the top-k winner can be a Condorcet loser
+    (see :func:`copeland_adversarial`)."""
+    if not 1 <= k <= m - 1:
+        raise DomainError(f"k must be in [1, m-1], got k={k}, m={m}")
+    return RatioBound(INFINITY, INFINITY)
+
+
 def maximin_adversarial(m: int, k: int) -> AdversarialInstance:
     """Cyclic profile, with x1 pushed last and x2 pulled to position k+1
     wherever they are not already in the top k. Ratio is exactly m - k."""

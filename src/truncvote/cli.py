@@ -24,6 +24,7 @@ from .bounds import (
     ConstructionInapplicableError,
     UnsupportedRuleError,
     copeland_adversarial,
+    copeland_bounds,
     is_infinite,
     maximin_adversarial,
     maximin_bounds,
@@ -160,7 +161,7 @@ def _bounds_for(rule: RuleId, m: int, k: int) -> bounds_mod.RatioBound:
     if rule.family == "maximin":
         return maximin_bounds(m, k)
     if rule.family == "copeland":
-        return bounds_mod.RatioBound(bounds_mod.INFINITY, bounds_mod.INFINITY)
+        return copeland_bounds(m, k)
     raise UnsupportedRuleError(f"no score-ratio bounds for {rule.family}")
 
 

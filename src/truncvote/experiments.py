@@ -4,6 +4,12 @@ real-data sweeps, with seeded deterministic parallel trials and CSV output.
 Trial t always uses the stream ``trial_rng(base_seed, t)`` and results are
 merged in trial order, so the worker count never changes the output.
 
+Parallel runs share one process pool that lives as long as the process: the
+first call with ``workers > 1`` starts it, later calls with the same count
+reuse it, and a different count replaces it. A call pickles its config once
+and sends the bytes, keyed by their digest, with each range of trials; a
+worker unpickles a config only the first time it sees its key.
+
 Every source runs through one trial loop. A source's ``tally(rng)`` hands
 over one :class:`~truncvote.tally.IntegerTally` per trial: a Mallows sample's
 rank matrix goes straight in (no ranking tuple is built), and a real-data
@@ -20,8 +26,11 @@ top score means (see :data:`TIE_CONVENTIONS`).
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import pickle
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -176,12 +185,57 @@ def _ratio_trial(cfg: ExperimentConfig, t: int) -> tuple[Ratio, ...]:
     )
 
 
+# The process's one pool and its worker count; started by the first parallel
+# call, replaced when the count changes or a worker dies.
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+# In each worker: the configs it has unpickled, keyed by a digest of their
+# pickled bytes, oldest first. A content key, unlike id(), can never name a
+# different config later.
+_CONFIG_CACHE_SIZE = 4
+_configs: dict[bytes, ExperimentConfig] = {}
+
+
+def _executor(workers: int) -> ProcessPoolExecutor:
+    global _pool, _pool_workers
+    if _pool is None or _pool_workers != workers:
+        _drop_pool()
+        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+    return _pool
+
+
+def _drop_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
+
+
+def _run_range(fn: Callable, key: bytes, blob: bytes, trials: range) -> list:
+    """``fn`` over ``trials`` of the config pickled as ``blob``; run in a
+    worker, which unpickles the config only the first time it sees ``key``."""
+    cfg = _configs.get(key)
+    if cfg is None:
+        if len(_configs) >= _CONFIG_CACHE_SIZE:
+            del _configs[next(iter(_configs))]
+        cfg = _configs[key] = pickle.loads(blob)
+    return [fn(cfg, t) for t in trials]
+
+
 def _map_trials(fn: Callable, cfg: ExperimentConfig, workers: int) -> list:
     if workers <= 1:
         return [fn(cfg, t) for t in range(cfg.trials)]
+    blob = pickle.dumps(cfg, pickle.HIGHEST_PROTOCOL)
+    key = hashlib.blake2b(blob, digest_size=16).digest()
     chunk = max(1, cfg.trials // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, repeat(cfg), range(cfg.trials), chunksize=chunk))
+    ranges = [range(start, min(start + chunk, cfg.trials)) for start in range(0, cfg.trials, chunk)]
+    pool = _executor(workers)
+    try:
+        parts = pool.map(_run_range, repeat(fn), repeat(key), repeat(blob), ranges)
+        return [result for part in parts for result in part]
+    except BrokenProcessPool:
+        _drop_pool()  # so the next call starts a fresh pool
+        raise
 
 
 def _source_fields(source: ProfileSource) -> tuple[str, str]:

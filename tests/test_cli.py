@@ -98,6 +98,18 @@ def test_bounds_csv_grid_skips_undefined_cells(capsys):
     assert code == 0 and all(line.split(",")[1] != "2" for line in out.splitlines())
 
 
+def test_bounds_copeland_rejects_k_outside_range(capsys):
+    # as maximin does: one cell exits 1, and --csv leaves the cell out
+    for k in ("0", "4"):
+        code, out, err = run(capsys, "bounds", "--rule", "copeland", "--m", "4", "--k", k)
+        assert code == 1 and out == "" and "k must be in [1, m-1]" in err
+    code, out, _ = run(capsys, "bounds", "--rule", "copeland", "--m", "4", "--k", "0:2", "--csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "rule,m,k,lower,upper,attained", "copeland,4,1,inf,inf,", "copeland,4,2,inf,inf,"
+    ]
+
+
 @pytest.mark.parametrize("rule, digest", [
     ("borda:zero", "133d46138fa7f458dee60a277a90a0ceab7db082056f9befff41d70c60cafce0"),
     ("borda:avg", "078890fc669ecac1c56965de32e1808de26b830437cd85147095475470b6e074"),

@@ -1,9 +1,12 @@
 import io
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from truncvote import (
     DomainError,
+    ElectionDataset,
     ExperimentConfig,
     FixedSource,
     MallowsSource,
@@ -230,6 +233,83 @@ def test_worker_count_does_not_change_results():
     }
     for mode, run in runs.items():
         assert run(1) == run(2), mode
+
+
+def _mallows_cfg(seed):
+    return ExperimentConfig(
+        MallowsSource(m=5, n=9, phi=0.8),
+        (parse_rule("stv"), parse_rule("borda:avg")),
+        (1, 2, 3),
+        trials=10,
+        base_seed=seed,
+    )
+
+
+def test_parallel_calls_reuse_one_pool():
+    cfg = _mallows_cfg(11)
+    serial = run_success_rate(cfg)
+    assert run_success_rate(cfg, 2) == serial
+    pool = exp._pool
+    assert pool is not None
+    assert run_success_rate(_mallows_cfg(12), 2) == run_success_rate(_mallows_cfg(12))
+    assert exp._pool is pool
+
+
+def test_new_worker_count_replaces_the_pool():
+    cfg = _mallows_cfg(13)
+    serial = run_success_rate(cfg)
+    pools = []
+    for workers in (2, 3, 2):
+        assert run_success_rate(cfg, workers) == serial, workers
+        pools.append(exp._pool)
+    assert pools[0] is not pools[1] and pools[1] is not pools[2] and pools[0] is not pools[2]
+    assert exp._pool_workers == 2
+
+
+def _kill_worker(cfg, t):
+    os._exit(1)
+
+
+def test_dead_worker_raises_and_the_next_call_starts_a_fresh_pool():
+    cfg = _mallows_cfg(14)
+    run_success_rate(cfg, 2)
+    broken = exp._pool
+    with pytest.raises(BrokenProcessPool):
+        exp._map_trials(_kill_worker, cfg, 2)
+    assert exp._pool is None
+    assert run_success_rate(cfg, 2) == run_success_rate(cfg)
+    assert exp._pool is not broken
+
+
+def test_worker_unpickles_a_config_only_on_a_cache_miss(monkeypatch):
+    monkeypatch.setattr(exp, "_configs", {})
+    cfg = _mallows_cfg(15)
+    blob = exp.pickle.dumps(cfg)
+    expected = [exp._success_trial(cfg, t) for t in range(2, 5)]
+    assert exp._run_range(exp._success_trial, b"key", blob, range(2, 5)) == expected
+    # a hit never reads the blob
+    assert exp._run_range(exp._success_trial, b"key", b"", range(2, 5)) == expected
+    for i in range(exp._CONFIG_CACHE_SIZE):
+        exp._run_range(exp._success_trial, bytes([i]), blob, range(1))
+    assert len(exp._configs) == exp._CONFIG_CACHE_SIZE and b"key" not in exp._configs
+
+
+def test_parallel_sweeps_never_reuse_a_stale_config():
+    # two datasets of the same shape, so their configs differ only in content
+    first = parse_preflib(EXAMPLE1_CLASSIC)
+    second = ElectionDataset.from_ballots(
+        first.m, first.candidate_names, [(b[::-1], count) for b, count in first.ballots]
+    )
+    rules = [parse_rule("borda"), parse_rule("copeland")]
+
+    def sweep(ds, workers):
+        return sweep_real_data(ds, [30, 62], [1, 2], rules, 8, 3, workers=workers)
+
+    datasets = (first, second)
+    serial = [sweep(ds, 1) for ds in datasets]
+    assert serial[0] != serial[1]
+    for i in (0, 1, 0):
+        assert sweep(datasets[i], 2) == serial[i]
 
 
 def test_preflib_source_success():
