@@ -40,6 +40,7 @@ from .experiments import (
     min_k_search,
     run_ratio,
     run_success_rate,
+    shutdown_pool,
     sweep_real_data,
     write_csv,
 )

@@ -7,8 +7,11 @@ merged in trial order, so the worker count never changes the output.
 Parallel runs share one process pool that lives as long as the process: the
 first call with ``workers > 1`` starts it, later calls with the same count
 reuse it, and a different count replaces it. A call pickles its config once
-and sends the bytes, keyed by their digest, with each range of trials; a
-worker unpickles a config only the first time it sees its key.
+and sends the bytes with each range of trials; a worker keeps the last config
+it unpickled and unpickles again only when the bytes differ. Workers copy the
+module state of the moment the pool starts, so a later change to it (a
+patched function, say) reaches them only after :func:`shutdown_pool`, which
+also frees the workers.
 
 Every source runs through one trial loop. A source's ``tally(rng)`` hands
 over one :class:`~truncvote.tally.IntegerTally` per trial: a Mallows sample's
@@ -26,7 +29,6 @@ top score means (see :data:`TIE_CONVENTIONS`).
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -189,36 +191,36 @@ def _ratio_trial(cfg: ExperimentConfig, t: int) -> tuple[Ratio, ...]:
 # call, replaced when the count changes or a worker dies.
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
-# In each worker: the configs it has unpickled, keyed by a digest of their
-# pickled bytes, oldest first. A content key, unlike id(), can never name a
-# different config later.
-_CONFIG_CACHE_SIZE = 4
-_configs: dict[bytes, ExperimentConfig] = {}
+# In each worker: the pickled bytes of the last config it ran, and that
+# config. The bytes themselves are compared, so a new config is never taken
+# for the last one.
+_worker_config: tuple[bytes, ExperimentConfig | None] = (b"", None)
 
 
 def _executor(workers: int) -> ProcessPoolExecutor:
     global _pool, _pool_workers
     if _pool is None or _pool_workers != workers:
-        _drop_pool()
+        shutdown_pool()
         _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
     return _pool
 
 
-def _drop_pool() -> None:
+def shutdown_pool() -> None:
+    """Stop the workers of parallel runs; the next parallel call starts a
+    fresh pool from the module state of that moment."""
     global _pool
     if _pool is not None:
         _pool.shutdown()
         _pool = None
 
 
-def _run_range(fn: Callable, key: bytes, blob: bytes, trials: range) -> list:
+def _run_range(fn: Callable, blob: bytes, trials: range) -> list:
     """``fn`` over ``trials`` of the config pickled as ``blob``; run in a
-    worker, which unpickles the config only the first time it sees ``key``."""
-    cfg = _configs.get(key)
-    if cfg is None:
-        if len(_configs) >= _CONFIG_CACHE_SIZE:
-            del _configs[next(iter(_configs))]
-        cfg = _configs[key] = pickle.loads(blob)
+    worker, which unpickles the config only when it differs from the last."""
+    global _worker_config
+    if _worker_config[0] != blob:
+        _worker_config = (blob, pickle.loads(blob))
+    cfg = _worker_config[1]
     return [fn(cfg, t) for t in trials]
 
 
@@ -226,15 +228,14 @@ def _map_trials(fn: Callable, cfg: ExperimentConfig, workers: int) -> list:
     if workers <= 1:
         return [fn(cfg, t) for t in range(cfg.trials)]
     blob = pickle.dumps(cfg, pickle.HIGHEST_PROTOCOL)
-    key = hashlib.blake2b(blob, digest_size=16).digest()
     chunk = max(1, cfg.trials // (workers * 4))
     ranges = [range(start, min(start + chunk, cfg.trials)) for start in range(0, cfg.trials, chunk)]
     pool = _executor(workers)
     try:
-        parts = pool.map(_run_range, repeat(fn), repeat(key), repeat(blob), ranges)
+        parts = pool.map(_run_range, repeat(fn), repeat(blob), ranges)
         return [result for part in parts for result in part]
     except BrokenProcessPool:
-        _drop_pool()  # so the next call starts a fresh pool
+        shutdown_pool()  # so the next call starts a fresh pool
         raise
 
 

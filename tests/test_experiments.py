@@ -1,5 +1,6 @@
 import io
 import os
+import pickle
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -192,7 +193,17 @@ def test_mallows_experiment_is_deterministic():
     assert run_ratio(cfg) == run_ratio(cfg)
 
 
-def test_mallows_trial_builds_no_ranking_tuple(monkeypatch, example1):
+@pytest.fixture
+def fresh_pool():
+    """Workers copy module state when the pool starts, so a test that patches
+    module state and runs in parallel gets a pool started after its patches
+    and shut down before they are undone."""
+    exp.shutdown_pool()
+    yield
+    exp.shutdown_pool()
+
+
+def test_mallows_trial_builds_no_ranking_tuple(monkeypatch, fresh_pool, example1):
     # the sampler's rank matrix goes straight into the tally; only ballots
     # given as ranking tuples pass through the encoder
     cfg = ExperimentConfig(
@@ -208,9 +219,10 @@ def test_mallows_trial_builds_no_ranking_tuple(monkeypatch, example1):
         raise AssertionError("ranking tuples were encoded")
 
     monkeypatch.setattr(tally_mod, "_position_matrix", encode)
-    assert (run_success_rate(cfg), run_ratio(cfg)) == expected
-    with pytest.raises(AssertionError, match="encoded"):
-        run_success_rate(_fixed_cfg(example1, ["borda:zero"], [1]))
+    for workers in (1, 2):
+        assert (run_success_rate(cfg, workers), run_ratio(cfg, workers)) == expected
+        with pytest.raises(AssertionError, match="encoded"):
+            run_success_rate(_fixed_cfg(example1, ["borda:zero"], [1]), workers)
 
 
 def test_worker_count_does_not_change_results():
@@ -281,17 +293,19 @@ def test_dead_worker_raises_and_the_next_call_starts_a_fresh_pool():
     assert exp._pool is not broken
 
 
-def test_worker_unpickles_a_config_only_on_a_cache_miss(monkeypatch):
-    monkeypatch.setattr(exp, "_configs", {})
-    cfg = _mallows_cfg(15)
-    blob = exp.pickle.dumps(cfg)
-    expected = [exp._success_trial(cfg, t) for t in range(2, 5)]
-    assert exp._run_range(exp._success_trial, b"key", blob, range(2, 5)) == expected
-    # a hit never reads the blob
-    assert exp._run_range(exp._success_trial, b"key", b"", range(2, 5)) == expected
-    for i in range(exp._CONFIG_CACHE_SIZE):
-        exp._run_range(exp._success_trial, bytes([i]), blob, range(1))
-    assert len(exp._configs) == exp._CONFIG_CACHE_SIZE and b"key" not in exp._configs
+def test_worker_unpickles_a_config_only_when_it_changes(monkeypatch):
+    monkeypatch.setattr(exp, "_worker_config", (b"", None))
+    loads, real_loads = [], pickle.loads
+    monkeypatch.setattr(pickle, "loads", lambda blob: loads.append(blob) or real_loads(blob))
+    # pickled before any trial fills a cached property
+    first, second = [(cfg, pickle.dumps(cfg)) for cfg in (_mallows_cfg(15), _mallows_cfg(16))]
+    for cfg, blob in (first, first, second, first):
+        # a fresh bytes object per task, as a worker receives it
+        blob = bytes(bytearray(blob))
+        expected = [exp._success_trial(cfg, t) for t in range(2, 5)]
+        assert exp._run_range(exp._success_trial, blob, range(2, 5)) == expected
+    # only the repeat of the last config is a hit
+    assert len(loads) == 3
 
 
 def test_parallel_sweeps_never_reuse_a_stale_config():
