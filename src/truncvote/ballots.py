@@ -54,6 +54,12 @@ def _position_matrix(m: int, orders: Sequence[Sequence[int]]) -> np.ndarray:
     return pos
 
 
+def _orders(m: int, ranks: np.ndarray) -> list[Ballot]:
+    """The ballots of a rank matrix, the inverse of :func:`_position_matrix`."""
+    lengths = (ranks < m).sum(axis=1).tolist()
+    return [tuple(row[:n]) for row, n in zip(ranks.argsort(axis=1).tolist(), lengths)]
+
+
 def _checked_entries(m: int, ballots: WeightedBallots) -> tuple[Entries, np.ndarray]:
     """The list's duplicates merged, in canonical (sorted) order, and the rank
     matrix of these distinct ballots; rejects a count <= 0 and an empty list."""

@@ -119,7 +119,7 @@ def _cmd_winner(args) -> int:
     ds = load(args.profile)
     rule = parse_rule(args.rule)
     tb = _tiebreak(args.tiebreak, ds.m)
-    tally = IntegerTally.of(ds.m, ds.ballots)
+    tally = IntegerTally(ds.ranks, ds.counts)
     if rule.k is not None:
         k = min(rule.k, ds.m - 1)
     else:
@@ -220,7 +220,7 @@ def _cmd_adversarial(args) -> int:
 
 def _cmd_parse_check(args) -> int:
     ds = load(args.path)
-    print(f"m={ds.m} n={ds.n} unique_ballots={len(ds.ballots)}")
+    print(f"m={ds.m} n={ds.n} unique_ballots={len(ds.counts)}")
     return 0
 
 

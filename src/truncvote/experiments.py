@@ -6,20 +6,20 @@ merged in trial order, so the worker count never changes the output.
 
 Parallel runs share one process pool that lives as long as the process: the
 first call with ``workers > 1`` starts it, later calls with the same count
-reuse it, and a different count replaces it. A call pickles its config once
-and sends the bytes with each range of trials; a worker keeps the last config
-it unpickled and unpickles again only when the bytes differ. Workers copy the
-module state of the moment the pool starts, so a later change to it (a
-patched function, say) reaches them only after :func:`shutdown_pool`, which
-also frees the workers.
+reuse it, and a different count replaces it. Each chunk of trials carries
+its config; a real-data config holds its dataset as a rank matrix, so it
+pickles in under a millisecond. Workers copy the module state of the moment
+the pool starts, so a later change to it (a patched function, say) reaches
+them only after :func:`shutdown_pool`, which also frees the workers.
 
 Every source runs through one trial loop. A source's ``tally(rng)`` hands
 over one :class:`~truncvote.tally.IntegerTally` per trial: a Mallows sample's
-rank matrix goes straight in (no ranking tuple is built), and a real-data
-resample or a fixed profile's entries are encoded and checked by
-``IntegerTally.of``. That tally serves the ground truth and every (rule, k):
-no ballot list is merged, sorted, truncated or re-validated, and every score
-is an exact integer. ``Fraction`` appears only in the reported score ratios.
+rank matrix goes straight in (no ranking tuple is built), a real-data trial
+hands over the rows its voters cast of its dataset's rank matrix, and a fixed
+profile's entries are encoded and checked by ``IntegerTally.of``. That tally
+serves the ground truth and every (rule, k): no ballot list is merged,
+sorted, truncated or re-validated, and every score is an exact integer.
+``Fraction`` appears only in the reported score ratios.
 
 A trial succeeds when the top-k winner equals the complete election's
 winner. ``ExperimentConfig.ties`` says what a tie for the complete election's
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import csv
 import io
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -45,7 +44,7 @@ import numpy as np
 from .ballots import DomainError, Profile, TieBreak
 from .bounds import Ratio, is_infinite, truncation_prices
 from .mallows import MallowsModel, sample_ranks, trial_rng
-from .preflib import ElectionDataset, resample
+from .preflib import ElectionDataset, _draw
 from .rules import SCORED_FAMILIES, RuleId, co_winners
 from .tally import IntegerTally
 
@@ -95,7 +94,8 @@ class PreflibSource:
         return self.dataset.m
 
     def tally(self, rng: np.random.Generator) -> IntegerTally:
-        return IntegerTally.of(self.m, resample(self.dataset, self.n_star, rng))
+        rows, counts = _draw(self.dataset, self.n_star, rng)
+        return IntegerTally(self.dataset.ranks[rows], counts)
 
 
 @dataclass(frozen=True)
@@ -191,10 +191,6 @@ def _ratio_trial(cfg: ExperimentConfig, t: int) -> tuple[Ratio, ...]:
 # call, replaced when the count changes or a worker dies.
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
-# In each worker: the pickled bytes of the last config it ran, and that
-# config. The bytes themselves are compared, so a new config is never taken
-# for the last one.
-_worker_config: tuple[bytes, ExperimentConfig | None] = (b"", None)
 
 
 def _executor(workers: int) -> ProcessPoolExecutor:
@@ -214,26 +210,14 @@ def shutdown_pool() -> None:
         _pool = None
 
 
-def _run_range(fn: Callable, blob: bytes, trials: range) -> list:
-    """``fn`` over ``trials`` of the config pickled as ``blob``; run in a
-    worker, which unpickles the config only when it differs from the last."""
-    global _worker_config
-    if _worker_config[0] != blob:
-        _worker_config = (blob, pickle.loads(blob))
-    cfg = _worker_config[1]
-    return [fn(cfg, t) for t in trials]
-
-
 def _map_trials(fn: Callable, cfg: ExperimentConfig, workers: int) -> list:
     if workers <= 1:
         return [fn(cfg, t) for t in range(cfg.trials)]
-    blob = pickle.dumps(cfg, pickle.HIGHEST_PROTOCOL)
-    chunk = max(1, cfg.trials // (workers * 4))
-    ranges = [range(start, min(start + chunk, cfg.trials)) for start in range(0, cfg.trials, chunk)]
     pool = _executor(workers)
     try:
-        parts = pool.map(_run_range, repeat(fn), repeat(blob), ranges)
-        return [result for part in parts for result in part]
+        # each chunk of trials is one task, which pickles its config once
+        chunk = max(1, cfg.trials // (workers * 4))
+        return list(pool.map(fn, repeat(cfg), range(cfg.trials), chunksize=chunk))
     except BrokenProcessPool:
         shutdown_pool()  # so the next call starts a fresh pool
         raise

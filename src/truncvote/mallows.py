@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ballots import Ballot, DomainError, Profile, _validate_permutation
+from .ballots import Ballot, DomainError, Profile, _orders, _validate_permutation
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -161,4 +161,4 @@ def sample_ranks(model: MallowsModel, n: int, rng: np.random.Generator) -> tuple
 def sample_profile(model: MallowsModel, n: int, rng: np.random.Generator) -> Profile:
     """n i.i.d. draws aggregated into a weighted profile (see :func:`sample_ranks`)."""
     ranks, counts = sample_ranks(model, n, rng)
-    return Profile.from_ballots(model.m, zip(map(tuple, ranks.argsort(axis=1).tolist()), counts))
+    return Profile.from_ballots(model.m, zip(_orders(model.m, ranks), counts))

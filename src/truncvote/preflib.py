@@ -3,18 +3,20 @@
 Both the classic layout (m; "id,name" lines; "n,sum,unique"; "count,ids...")
 and the modern '#'-metadata layout ("count: ids...") are accepted. Only
 strict orders are supported: ballots with '{' tie-groups are rejected.
+
+A dataset keeps the rank matrix of its ballot check; a real-data trial slices
+the rows it draws (:func:`_draw`) into an :class:`~truncvote.tally.IntegerTally`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .ballots import Ballot, DomainError, Entries, TopKProfile, WeightedBallots, _checked_entries
+from .ballots import Ballot, DomainError, Entries, TopKProfile, WeightedBallots, _checked_entries, _orders
 
 
 class PreflibParseError(ValueError):
@@ -25,28 +27,41 @@ class PreflibParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElectionDataset:
-    """Parsed election: candidate names plus possibly-incomplete ballots."""
+    """Parsed election: candidate names, and the rank matrix of the distinct
+    (possibly incomplete) ballots, in canonical order, with each one's count."""
 
     m: int
     candidate_names: tuple[str, ...]
-    ballots: Entries
+    ranks: np.ndarray
+    counts: tuple[int, ...]
 
     @classmethod
     def from_ballots(cls, m: int, names: Sequence[str], ballots: WeightedBallots) -> "ElectionDataset":
         if len(names) != m:
             raise DomainError("need one name per candidate")
-        return cls(m, tuple(names), _checked_entries(m, ballots)[0])
+        entries, ranks = _checked_entries(m, ballots)
+        return cls(m, tuple(names), ranks, tuple(count for _, count in entries))
 
-    # computed once per dataset: resample reads both in every trial
-    @cached_property
-    def n(self) -> int:
-        return sum(count for _, count in self.ballots)
+    def __post_init__(self) -> None:
+        # computed once per dataset and pickled with it: every draw reads both
+        object.__setattr__(self, "n", sum(self.counts))
+        object.__setattr__(self, "_cumulative_counts", np.cumsum(self.counts))
 
-    @cached_property
-    def _cumulative_counts(self) -> np.ndarray:
-        return np.cumsum([count for _, count in self.ballots])
+    @property
+    def ballots(self) -> Entries:
+        """The distinct ballots with their counts, decoded on every access."""
+        return tuple(zip(_orders(self.m, self.ranks), self.counts))
+
+    def _key(self) -> tuple:
+        return self.m, self.candidate_names, self.counts, self.ranks.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ElectionDataset) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _parse_ballot_line(part: str, m: int, line: int) -> Ballot:
@@ -153,6 +168,8 @@ def _parse_modern(lines: list[str]) -> ElectionDataset:
         m = int(meta["NUMBER ALTERNATIVES"])
     except (KeyError, ValueError):
         raise PreflibParseError("missing or malformed '# NUMBER ALTERNATIVES' metadata") from None
+    if m < 1:
+        raise PreflibParseError("candidate count must be positive")
     names = []
     for i in range(1, m + 1):
         names.append(meta.get(f"ALTERNATIVE NAME {i}", str(i)))
@@ -208,19 +225,18 @@ def serialize_classic(ds: ElectionDataset) -> str:
     out = [str(ds.m)]
     for i, name in enumerate(ds.candidate_names, start=1):
         out.append(f"{i},{name}")
-    out.append(f"{ds.n},{ds.n},{len(ds.ballots)}")
-    for order, count in ds.ballots:
-        out.append(",".join([str(count)] + [str(c + 1) for c in order]))
+    out.append(f"{ds.n},{ds.n},{len(ds.counts)}")
+    ids = [str(c + 1) for c in range(ds.m)]
+    for order, count in zip(_orders(ds.m, ds.ranks), ds.counts):
+        out.append(",".join([str(count)] + [ids[c] for c in order]))
     return "\n".join(out) + "\n"
 
 
-def resample(
-    ds: ElectionDataset,
-    n_star: int,
-    rng: np.random.Generator,
-    with_replacement: bool = False,
-) -> Entries:
-    """Draw n_star voters at random from the dataset (default: distinct voters)."""
+def _draw(
+    ds: ElectionDataset, n_star: int, rng: np.random.Generator, with_replacement: bool = False
+) -> tuple[np.ndarray, list[int]]:
+    """Draw n_star voters at random from the dataset (default: distinct voters):
+    the rows of ``ds.ranks`` they cast, ascending, and how many cast each."""
     if not 1 <= n_star <= ds.n:
         raise DomainError(f"n_star must be in [1, {ds.n}], got {n_star}")
     if with_replacement:
@@ -228,10 +244,18 @@ def resample(
     else:
         voters = rng.choice(ds.n, size=n_star, replace=False)
     picked = np.bincount(
-        np.searchsorted(ds._cumulative_counts, voters, side="right"), minlength=len(ds.ballots)
+        np.searchsorted(ds._cumulative_counts, voters, side="right"), minlength=len(ds.counts)
     )
     drawn = np.flatnonzero(picked)
-    return tuple(zip([ds.ballots[i][0] for i in drawn.tolist()], picked[drawn].tolist()))
+    return drawn, picked[drawn].tolist()
+
+
+def resample(
+    ds: ElectionDataset, n_star: int, rng: np.random.Generator, with_replacement: bool = False
+) -> Entries:
+    """Draw n_star voters at random from the dataset (default: distinct voters)."""
+    rows, counts = _draw(ds, n_star, rng, with_replacement)
+    return tuple(zip(_orders(ds.m, ds.ranks[rows]), counts))
 
 
 def effective_truncate(ballots: WeightedBallots, k: int, m: int) -> TopKProfile:

@@ -2,9 +2,9 @@
 
 An :class:`IntegerTally` is built once per ballot list, complete or
 prefix/SOI, from its rank matrix and counts: the Mallows sampler's
-(:func:`truncvote.mallows.sample_ranks`) as they are, other ballots encoded
-and checked by :meth:`IntegerTally.of` through the ballot check of
-:mod:`truncvote.ballots`. It holds two count tables:
+(:func:`truncvote.mallows.sample_ranks`) or a parsed dataset's rows as they
+are, other ballots encoded and checked by :meth:`IntegerTally.of` through the
+ballot check of :mod:`truncvote.ballots`. It holds two count tables:
 
 - the position counts ``C[c][p]``: total weight of the ballots that rank
   candidate c at position p (0-based, p < m);

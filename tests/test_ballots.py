@@ -12,6 +12,7 @@ from truncvote import (
     pairwise_tally,
     truncate,
 )
+from truncvote.ballots import _orders, _position_matrix
 
 # pairwise tally of the 62-voter fixture, computed by hand from the four
 # ballot blocks
@@ -196,3 +197,21 @@ def test_one_check_rejects_what_the_per_ballot_rules_reject(drawn):
     assert dataset == _oracle_entries(ballots, lambda order: _oracle_prefix(order, m))
     tally = _accepted(lambda: IntegerTally.of(m, ballots), "n")
     assert (tally is None) == (dataset is None)
+
+
+@st.composite
+def prefix_lists(draw):
+    """m on both sides of 255, so that both uint8 and uint16 rank matrices
+    occur, and 0-5 non-empty prefixes of permutations of 0..m-1."""
+    m = draw(st.one_of(st.integers(1, 6), st.integers(250, 260)))
+    prefix = st.tuples(st.permutations(range(m)), st.integers(1, m)).map(
+        lambda p: tuple(p[0][: p[1]])
+    )
+    return m, draw(st.lists(prefix, max_size=5))
+
+
+@settings(max_examples=200)
+@given(prefix_lists())
+def test_orders_inverts_the_position_matrix(drawn):
+    m, orders = drawn
+    assert _orders(m, _position_matrix(m, orders)) == list(orders)

@@ -1,8 +1,12 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import truncvote
 from truncvote import experiments as exp
 from truncvote import parse_rule
 from truncvote.cli import main
@@ -138,6 +142,23 @@ def test_adversarial_command(capsys, tmp_path):
     assert out.strip() == "x1=0 x2=1 k=2 ratio=3"
     code, out, _ = run(capsys, "parse-check", str(out_file))
     assert code == 0 and out.strip() == "m=5 n=5 unique_ballots=5"
+
+
+def test_parse_check_rejects_a_non_positive_modern_candidate_count(capsys, tmp_path):
+    path = tmp_path / "bad.soi"
+    path.write_text("# NUMBER ALTERNATIVES: -2\n1: 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "parse-check", str(path))
+    assert code == 2 and out == "" and "candidate count must be positive" in err
+
+
+def test_package_imports_no_test_dependency():
+    # scipy, hypothesis and pytest are test-only: neither the package nor the CLI loads them
+    script = ("import sys, truncvote, truncvote.cli; print(sorted({name.split('.')[0] for name"
+              " in sys.modules} & {'scipy', 'hypothesis', 'pytest'}))")
+    src = os.path.dirname(os.path.dirname(truncvote.__file__))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_adversarial_copeland_reports_inf(capsys):

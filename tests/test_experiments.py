@@ -1,6 +1,5 @@
 import io
 import os
-import pickle
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -23,6 +22,7 @@ from truncvote import (
     write_csv,
 )
 from truncvote import experiments as exp
+from truncvote import preflib as preflib_mod
 from truncvote import tally as tally_mod
 from truncvote.experiments import (
     MIN_K_COLUMNS,
@@ -204,23 +204,29 @@ def fresh_pool():
 
 
 def test_mallows_trial_builds_no_ranking_tuple(monkeypatch, fresh_pool, example1):
-    # the sampler's rank matrix goes straight into the tally; only ballots
-    # given as ranking tuples pass through the encoder
+    # the sampler's rank matrix, and the rows a real-data trial draws of its
+    # dataset's, go straight into the tally; only ballots given as ranking
+    # tuples pass through the encoder, and no trial decodes ballots
+    rules = (parse_rule("borda:zero"), parse_rule("copeland"), parse_rule("maximin"))
     cfg = ExperimentConfig(
-        MallowsSource(m=5, n=40, phi=0.8),
-        (parse_rule("borda:zero"), parse_rule("copeland"), parse_rule("maximin")),
-        (1, 2, 3),
-        trials=6,
-        base_seed=7,
+        MallowsSource(m=5, n=40, phi=0.8), rules, (1, 2, 3), trials=6, base_seed=7
     )
-    expected = run_success_rate(cfg), run_ratio(cfg)
+    real = ExperimentConfig(
+        PreflibSource(parse_preflib(EXAMPLE1_CLASSIC), 30), rules, (1, 2), trials=6, base_seed=7
+    )
+    expected = run_success_rate(cfg), run_ratio(cfg), run_success_rate(real)
 
     def encode(*args):
         raise AssertionError("ranking tuples were encoded")
 
+    def decode(*args):
+        raise AssertionError("ballots were decoded")
+
     monkeypatch.setattr(tally_mod, "_position_matrix", encode)
+    monkeypatch.setattr(preflib_mod, "_orders", decode)
     for workers in (1, 2):
-        assert (run_success_rate(cfg, workers), run_ratio(cfg, workers)) == expected
+        assert (run_success_rate(cfg, workers), run_ratio(cfg, workers),
+                run_success_rate(real, workers)) == expected
         with pytest.raises(AssertionError, match="encoded"):
             run_success_rate(_fixed_cfg(example1, ["borda:zero"], [1]), workers)
 
@@ -291,21 +297,6 @@ def test_dead_worker_raises_and_the_next_call_starts_a_fresh_pool():
     assert exp._pool is None
     assert run_success_rate(cfg, 2) == run_success_rate(cfg)
     assert exp._pool is not broken
-
-
-def test_worker_unpickles_a_config_only_when_it_changes(monkeypatch):
-    monkeypatch.setattr(exp, "_worker_config", (b"", None))
-    loads, real_loads = [], pickle.loads
-    monkeypatch.setattr(pickle, "loads", lambda blob: loads.append(blob) or real_loads(blob))
-    # pickled before any trial fills a cached property
-    first, second = [(cfg, pickle.dumps(cfg)) for cfg in (_mallows_cfg(15), _mallows_cfg(16))]
-    for cfg, blob in (first, first, second, first):
-        # a fresh bytes object per task, as a worker receives it
-        blob = bytes(bytearray(blob))
-        expected = [exp._success_trial(cfg, t) for t in range(2, 5)]
-        assert exp._run_range(exp._success_trial, blob, range(2, 5)) == expected
-    # only the repeat of the last config is a hit
-    assert len(loads) == 3
 
 
 def test_parallel_sweeps_never_reuse_a_stale_config():

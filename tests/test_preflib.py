@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from truncvote import (
@@ -39,11 +41,15 @@ def test_parse_bytes_and_load(tmp_path, example1_soc):
 def test_classic_round_trip():
     ds = parse_preflib(EXAMPLE1_CLASSIC)
     assert parse_preflib(serialize_classic(ds)) == ds
+    copy = pickle.loads(pickle.dumps(ds))
+    assert copy == ds and hash(copy) == hash(ds)
 
 
 def test_round_trip_preserves_incomplete_ballots():
     ds = parse_preflib(TOY_MODERN)
     assert parse_preflib(serialize_classic(ds)) == ds
+    copy = pickle.loads(pickle.dumps(ds))
+    assert copy == ds and hash(copy) == hash(ds)
 
 
 def test_tie_groups_rejected_with_line_number():
