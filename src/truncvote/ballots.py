@@ -26,6 +26,12 @@ class DomainError(ValueError):
     """An operation was called outside its defined domain."""
 
 
+def _check_k(k: int, m: int) -> None:
+    """Reject a truncation depth outside [1, m-1]."""
+    if not 1 <= k <= m - 1:
+        raise DomainError(f"k must be in [1, m-1], got k={k}, m={m}")
+
+
 def _validate_permutation(order: Sequence[int], m: int) -> None:
     if len(order) != m or set(order) != set(range(m)):
         raise DomainError(f"not a permutation of 0..{m - 1}: {order!r}")
@@ -132,8 +138,7 @@ class TopKProfile:
 
     @classmethod
     def from_ballots(cls, m: int, k: int, ballots: WeightedBallots) -> "TopKProfile":
-        if not 1 <= k <= m - 1:
-            raise DomainError(f"k must be in [1, m-1], got k={k}, m={m}")
+        _check_k(k, m)
         entries, ranks = _checked_entries(m, ballots)
         if (ranks == k).any():  # some ballot fills position k
             raise DomainError(f"a ballot is longer than k={k}")

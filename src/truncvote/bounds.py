@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, lcm, perm
+from math import perm
 from typing import Sequence
 
-from .ballots import DomainError, Profile, TieBreak
+from .ballots import DomainError, Profile, TieBreak, _check_k
 from .rules import RuleId, ScoringVector, _validate_head, co_winners
 from .tally import IntegerTally
 
@@ -97,9 +97,7 @@ class AdversarialInstance:
 
 def _reduced_vector(s: ScoringVector, k: int, s_star: Fraction) -> list[Fraction]:
     """s'_i = s_i - s_star for the top k positions."""
-    m = len(s)
-    if not 1 <= k <= m - 1:
-        raise DomainError(f"k must be in [1, m-1], got k={k}, m={m}")
+    _check_k(k, len(s))
     _validate_head(s[:k], s_star)
     return [s[i] - s_star for i in range(k)]
 
@@ -121,13 +119,6 @@ def psr_bounds(s: ScoringVector, k: int, s_star: Fraction) -> RatioBound:
     return RatioBound(Fraction(lower), Fraction(upper))
 
 
-def _integer_weights(alpha_q: Fraction, beta_q: Fraction) -> tuple[int, int]:
-    scale = lcm(alpha_q.denominator, beta_q.denominator)
-    alpha, beta = int(alpha_q * scale), int(beta_q * scale)
-    common = gcd(alpha, beta)
-    return alpha // common, beta // common
-
-
 def psr_adversarial(s: ScoringVector, k: int, s_star: Fraction) -> AdversarialInstance:
     """Pathological profile where all candidates tie in the truncation.
 
@@ -147,7 +138,8 @@ def psr_adversarial(s: ScoringVector, k: int, s_star: Fraction) -> AdversarialIn
         raise ConstructionInapplicableError(
             f"beta would be negative for this vector (m={m}, k={k})"
         )
-    alpha, beta = _integer_weights(alpha_q, beta_q)
+    # the smallest integer weights in the ratio alpha_q : beta_q
+    alpha, beta = (1, 0) if beta_q == 0 else (alpha_q / beta_q).as_integer_ratio()
 
     others = list(range(2, m))
     ballots = []
@@ -170,16 +162,14 @@ def psr_adversarial(s: ScoringVector, k: int, s_star: Fraction) -> AdversarialIn
 
 
 def maximin_bounds(m: int, k: int) -> RatioBound:
-    if not 1 <= k <= m - 1:
-        raise DomainError(f"k must be in [1, m-1], got k={k}, m={m}")
+    _check_k(k, m)
     return RatioBound(Fraction(m - k), Fraction(m - k + 1))
 
 
 def copeland_bounds(m: int, k: int) -> RatioBound:
     """Unbounded at every valid k: the top-k winner can be a Condorcet loser
     (see :func:`copeland_adversarial`)."""
-    if not 1 <= k <= m - 1:
-        raise DomainError(f"k must be in [1, m-1], got k={k}, m={m}")
+    _check_k(k, m)
     return RatioBound(INFINITY, INFINITY)
 
 

@@ -119,14 +119,8 @@ def _cmd_winner(args) -> int:
     ds = load(args.profile)
     rule = parse_rule(args.rule)
     tb = _tiebreak(args.tiebreak, ds.m)
-    tally = IntegerTally(ds.ranks, ds.counts)
-    if rule.k is not None:
-        k = min(rule.k, ds.m - 1)
-    else:
-        # incomplete real data: the ballots themselves, read to depth m-1, are
-        # the ground truth
-        k = None if tally.complete else ds.m - 1
-    print(ds.candidate_names[tally.winner(rule, k, tb)])
+    k = None if rule.k is None else min(rule.k, ds.m - 1)
+    print(ds.candidate_names[IntegerTally(ds.ranks, ds.counts).winner(rule, k, tb)])
     return 0
 
 

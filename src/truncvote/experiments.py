@@ -21,8 +21,11 @@ serves the ground truth and every (rule, k): no ballot list is merged,
 sorted, truncated or re-validated, and every score is an exact integer.
 ``Fraction`` appears only in the reported score ratios.
 
-A trial succeeds when the top-k winner equals the complete election's
-winner. ``ExperimentConfig.ties`` says what a tie for the complete election's
+A trial succeeds when the top-k winner equals the ground truth, the winner
+the tally gives for k None: the complete rule when every ballot of the trial
+is complete (always for Mallows and fixed sources), the rule read to depth
+m-1 otherwise, so one ballot list has one truth whatever its source.
+``ExperimentConfig.ties`` says what a tie for the complete election's
 top score means (see :data:`TIE_CONVENTIONS`).
 """
 
@@ -41,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ballots import DomainError, Profile, TieBreak
+from .ballots import DomainError, Profile, TieBreak, _check_k
 from .bounds import Ratio, is_infinite, truncation_prices
 from .mallows import MallowsModel, sample_ranks, trial_rng
 from .preflib import ElectionDataset, _draw
@@ -142,8 +145,8 @@ class ExperimentConfig:
         m = self.source.m
         if not self.k_values:
             raise DomainError(f"no k in [1, m-1] for m = {m}")
-        if any(not 1 <= k <= m - 1 for k in self.k_values):
-            raise DomainError(f"k values must lie in [1, {m - 1}]")
+        for k in self.k_values:
+            _check_k(k, m)
         if self.tiebreak is not None and len(self.tiebreak.priority) != m:
             raise DomainError(
                 f"tie-break priority needs m = {m} entries, got {len(self.tiebreak.priority)}"
@@ -155,24 +158,23 @@ class ExperimentConfig:
         return self.tiebreak or TieBreak.by_index(self.source.m)
 
 
-def _true_winner(cfg: ExperimentConfig, tally: IntegerTally, rule: RuleId, k: int | None) -> int | None:
-    """The complete election's winner; None when no top-k winner can match it."""
+def _true_winner(cfg: ExperimentConfig, tally: IntegerTally, rule: RuleId) -> int | None:
+    """The ballots' true winner; None when no top-k winner can match it."""
     if cfg.ties == "priority":
-        return tally.winner(rule, k, cfg.tb)
-    top = co_winners(tally.scores(rule, k))
+        return tally.winner(rule, None, cfg.tb)
+    top = co_winners(tally.scores(rule, None))
     return top[0] if len(top) == 1 else None
 
 
 def _success_trial(cfg: ExperimentConfig, t: int) -> tuple[bool, ...]:
     """Whether each (rule, k)'s top-k winner of trial t is the true winner.
 
-    The ground truth is the complete rule on a complete profile (Mallows or
-    fixed source), or, on real data, the rule on the resampled voters' own
-    (possibly incomplete) ballots read to depth m-1.
+    The ground truth is the tally's reading of k None, whatever the source:
+    the complete rule when every drawn ballot is complete, else the rule on
+    the (possibly incomplete) ballots read to depth m-1.
     """
     tally = cfg.source.tally(trial_rng(cfg.base_seed, t))
-    truth_k = cfg.source.m - 1 if isinstance(cfg.source, PreflibSource) else None
-    true = {rule: _true_winner(cfg, tally, rule, truth_k) for rule in cfg.rules}
+    true = {rule: _true_winner(cfg, tally, rule) for rule in cfg.rules}
     return tuple(
         tally.winner(rule, k, cfg.tb) == true[rule] for rule in cfg.rules for k in cfg.k_values
     )

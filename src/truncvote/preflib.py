@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -83,6 +83,26 @@ def _parse_ballot_line(part: str, m: int, line: int) -> Ballot:
     return tuple(order)
 
 
+def _parse_ballots(
+    rows: Iterable[tuple[int, str]], m: int, sep: str, malformed: str
+) -> list[tuple[Ballot, int]]:
+    """The weighted ballots of "count<sep>ids..." rows; ``malformed`` is the
+    message, with a ``{text!r}`` field, for a row without the separator."""
+    ballots = []
+    for line, text in rows:
+        count_str, found, rest = text.partition(sep)
+        if not found:
+            raise PreflibParseError(malformed.format(text=text), line)
+        try:
+            count = int(count_str)
+        except ValueError:
+            raise PreflibParseError(f"malformed count {count_str!r}", line) from None
+        if count <= 0:
+            raise PreflibParseError(f"ballot count must be positive, got {count}", line)
+        ballots.append((_parse_ballot_line(rest, m, line), count))
+    return ballots
+
+
 def _parse_classic(rows: list[tuple[int, str]]) -> ElectionDataset:
     it = iter(rows)
 
@@ -124,19 +144,7 @@ def _parse_classic(rows: list[tuple[int, str]]) -> ElectionDataset:
     except ValueError:
         raise PreflibParseError(f"expected 'n,sum,unique', got {text!r}", line) from None
 
-    ballots = []
-    for line, text in it:
-        count_str, sep, rest = text.partition(",")
-        if not sep:
-            raise PreflibParseError(f"malformed ballot line {text!r}", line)
-        try:
-            count = int(count_str)
-        except ValueError:
-            raise PreflibParseError(f"malformed count {count_str!r}", line) from None
-        if count <= 0:
-            raise PreflibParseError(f"ballot count must be positive, got {count}", line)
-        ballots.append((_parse_ballot_line(rest, m, line), count))
-
+    ballots = _parse_ballots(it, m, ",", "malformed ballot line {text!r}")
     if len(ballots) != unique_declared:
         raise PreflibParseError(
             f"declared {unique_declared} unique ballots, found {len(ballots)}", header_line
@@ -174,18 +182,7 @@ def _parse_modern(lines: list[str]) -> ElectionDataset:
     for i in range(1, m + 1):
         names.append(meta.get(f"ALTERNATIVE NAME {i}", str(i)))
 
-    ballots = []
-    for line, text in data:
-        count_str, sep, rest = text.partition(":")
-        if not sep:
-            raise PreflibParseError(f"expected 'count: ids...', got {text!r}", line)
-        try:
-            count = int(count_str)
-        except ValueError:
-            raise PreflibParseError(f"malformed count {count_str!r}", line) from None
-        if count <= 0:
-            raise PreflibParseError(f"ballot count must be positive, got {count}", line)
-        ballots.append((_parse_ballot_line(rest, m, line), count))
+    ballots = _parse_ballots(data, m, ":", "expected 'count: ids...', got {text!r}")
     if not ballots:
         raise PreflibParseError("no ballots found")
 
@@ -206,11 +203,7 @@ def parse_preflib(data: str | bytes) -> ElectionDataset:
     lines = text.splitlines()
     if any(ln.lstrip().startswith("#") for ln in lines):
         return _parse_modern(lines)
-    rows = [
-        (i, ln.strip())
-        for i, ln in enumerate(lines, start=1)
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    rows = [(i, ln.strip()) for i, ln in enumerate(lines, start=1) if ln.strip()]
     if not rows:
         raise PreflibParseError("empty input")
     return _parse_classic(rows)

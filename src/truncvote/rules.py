@@ -26,6 +26,7 @@ from .ballots import (
     Profile,
     TieBreak,
     TopKProfile,
+    _check_k,
     dominance_tally,
     pairwise_tally,
     truncate,
@@ -65,8 +66,7 @@ def approval_vector(m: int, width: int) -> ScoringVector:
 def completion_score(vector: ScoringVector, k: int, policy: str) -> Fraction:
     """Points awarded to every unranked candidate of a top-k ballot."""
     m = len(vector)
-    if not 1 <= k <= m - 1:
-        raise DomainError(f"k must be in [1, m-1], got k={k}, m={m}")
+    _check_k(k, m)
     if policy == "zero":
         return Fraction(0)
     if policy == "avg":
@@ -304,8 +304,6 @@ def _check_input(rule: RuleId, profile: Profile | TopKProfile) -> None:
         if not isinstance(profile, Profile):
             raise DomainError(f"complete rule {rule} needs a complete profile")
         return
-    if rule.k > profile.m - 1:
-        raise DomainError(f"rule {rule} needs k <= m-1 = {profile.m - 1}")
     if isinstance(profile, TopKProfile) and profile.k != rule.k:
         raise DomainError(f"profile has k={profile.k}, rule wants k={rule.k}")
 

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ballots import DomainError, PairwiseTally, TieBreak, WeightedBallots, _position_matrix
+from .ballots import DomainError, PairwiseTally, TieBreak, WeightedBallots, _check_k, _position_matrix
 from .rules import (
     SCORED_FAMILIES,
     RuleId,
@@ -72,10 +72,11 @@ class IntegerTally:
     from its rank matrix (:func:`_position_matrix`, one row per distinct ballot)
     and each row's positive int count; :meth:`of` checks the ballots it encodes.
 
-    ``k=None`` in :meth:`scores` and :meth:`winner` means the complete rule,
-    which needs complete ballots; an integer k evaluates the top-k rule on the
-    ballots cut to their length-min(k, len) prefix, as ``effective_truncate``
-    does.
+    ``k=None`` in :meth:`scores` and :meth:`winner` is the ground truth of
+    the ballots: the complete rule when every ballot is complete, else the
+    rule read to depth m-1 (what the ballots allow). An integer k evaluates
+    the top-k rule on the ballots cut to their length-min(k, len) prefix, as
+    ``effective_truncate`` does.
     """
 
     def __init__(self, ranks: np.ndarray, counts: Sequence[int]) -> None:
@@ -109,17 +110,16 @@ class IntegerTally:
                    [count for _, count in entries])
 
     def _level(self, k: int | None) -> int:
-        """The number of leading positions a rule at k reads (m if complete)."""
+        """The number of leading positions a rule at k reads; for k None, m
+        on complete ballots and m-1 otherwise."""
         if k is None:
-            if not self.complete:
-                raise DomainError("a complete rule needs complete ballots")
-            return self.m
-        if not 1 <= k <= self.m - 1:
-            raise DomainError(f"k must be in [1, m-1], got k={k}, m={self.m}")
+            return self.m if self.complete else self.m - 1
+        _check_k(k, self.m)
         return k
 
     def pairwise(self, k: int | None = None) -> PairwiseTally:
-        """``D[k-1]`` as a tally; ``pairwise_tally`` when k is None."""
+        """``D[k-1]`` as a tally; ``pairwise_tally`` when k is None and the
+        ballots are complete."""
         counts = self._dominance[self._level(k) - 1]
         return PairwiseTally(self.m, self.n, tuple(tuple(row) for row in counts))
 
@@ -149,7 +149,8 @@ class IntegerTally:
         level = self._level(k)
         m = self.m
         if rule.family == "psr":
-            return self._psr(*_rule_weights(rule.base, rule.width, rule.policy, m, k))
+            depth = None if level == m else level
+            return self._psr(*_rule_weights(rule.base, rule.width, rule.policy, m, depth))
         counts = self._dominance[level - 1]
         if rule.family == "copeland":
             return [

@@ -29,6 +29,19 @@ EXAMPLE1_CLASSIC = """4
 17,4,3,1,2
 """
 
+# a complete 9-voter, 4-candidate election on which harmonic:zero picks 1,
+# while its top-3 form picks 0
+HARMONIC_SPLIT_BALLOTS = (
+    ((0, 1, 3, 2), 1),
+    ((0, 2, 1, 3), 1),
+    ((1, 0, 2, 3), 1),
+    ((1, 0, 3, 2), 2),
+    ((2, 0, 3, 1), 1),
+    ((3, 0, 1, 2), 1),
+    ((3, 1, 2, 0), 1),
+    ((3, 2, 0, 1), 1),
+)
+
 TOY_MODERN = """# FILE NAME: toy.soi
 # NUMBER ALTERNATIVES: 3
 # ALTERNATIVE NAME 1: red

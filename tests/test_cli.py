@@ -11,7 +11,7 @@ from truncvote import experiments as exp
 from truncvote import parse_rule
 from truncvote.cli import main
 
-from conftest import EXAMPLE1_CLASSIC
+from conftest import EXAMPLE1_CLASSIC, HARMONIC_SPLIT_BALLOTS
 
 
 def run(capsys, *argv):
@@ -36,6 +36,15 @@ def test_winner_with_tiebreak(capsys, tmp_path):
     code, out, _ = run(capsys, "winner", "--rule", "plurality", "--profile", str(path),
                        "--tiebreak", "1,0")
     assert code == 0 and out.strip() == "y"
+
+
+def test_winner_on_a_complete_file_is_the_complete_rule(capsys, tmp_path):
+    path = tmp_path / "split.soc"
+    path.write_text(truncvote.serialize_classic(truncvote.ElectionDataset.from_ballots(
+        4, ["c0", "c1", "c2", "c3"], HARMONIC_SPLIT_BALLOTS)), encoding="utf-8")
+    for rule, name in (("harmonic:zero", "c1"), ("harmonic@k=3:zero", "c0")):
+        code, out, _ = run(capsys, "winner", "--rule", rule, "--profile", str(path))
+        assert code == 0 and out.strip() == name, rule
 
 
 def test_winner_missing_file_exits_2(capsys):

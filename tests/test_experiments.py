@@ -31,7 +31,7 @@ from truncvote.experiments import (
     SUCCESS_COLUMNS,
 )
 
-from conftest import EXAMPLE1_CLASSIC, TOY_MODERN
+from conftest import EXAMPLE1_CLASSIC, HARMONIC_SPLIT_BALLOTS, TOY_MODERN
 
 
 def _fixed_cfg(example1, rules, k_values, trials=3):
@@ -330,6 +330,21 @@ def test_preflib_source_success():
     rows = run_success_rate(cfg)
     assert rows[0]["rate"] == "1.0000"
     assert rows[0]["n"] == "62"
+
+
+def test_real_data_on_complete_ballots_has_the_fixed_source_truth():
+    # every resample of all 9 voters is complete, so its truth is the complete
+    # rule, as for the same ballots replayed as a fixed profile
+    names = ["a", "b", "c", "d"]
+    ds = ElectionDataset.from_ballots(4, names, HARMONIC_SPLIT_BALLOTS)
+    rule = parse_rule("harmonic:zero")
+    real = sweep_real_data(ds, [9], [1, 2, 3], [rule], 1, 1)
+    fixed = run_success_rate(ExperimentConfig(
+        FixedSource(Profile.from_ballots(4, HARMONIC_SPLIT_BALLOTS)), (rule,), (1, 2, 3), 1, 1
+    ))
+    assert [(r["k"], r["rate"]) for r in real] == [(r["k"], r["rate"]) for r in fixed] == [
+        ("1", "1.0000"), ("2", "0.0000"), ("3", "0.0000")
+    ]
 
 
 def test_sweep_real_data():

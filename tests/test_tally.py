@@ -36,10 +36,10 @@ SCORED = ("borda:zero", "borda:avg", "harmonic:zero", "harmonic:avg", "copeland"
 
 
 @st.composite
-def elections(draw, complete: bool, max_weight: int = 2**40):
+def elections(draw, complete: bool, max_weight: int = 2**40, max_m: int = 8):
     """(m, ballots, tie-break): distinct complete rankings, or prefixes of
     random lengths (SOI), each with a weight up to max_weight."""
-    m = draw(st.integers(2, 8))
+    m = draw(st.integers(2, max_m))
     orders = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=8))
     ballots = {}
     for order in orders:
@@ -122,6 +122,21 @@ def test_price_of_truncation_is_the_fraction_score_ratio(election):
             assert price_of_truncation(profile, rule, k, tb) == expected, (text, k)
 
 
+@given(elections(complete=True, max_m=6))
+def test_truth_on_complete_ballots_is_the_top_m_minus_1_rule(election):
+    # a zero-completion PSR with s_m > 0 is the one exception: its top-(m-1)
+    # form drops the points of the last position (approval-m with average
+    # completion is no top-(m-1) rule at all)
+    m, ballots, tb = election
+    tally = IntegerTally.of(m, ballots)
+    psrs = ["borda", "harmonic"] + [f"approval{w}" for w in range(1, m + 1)]
+    texts = [f"{base}:{policy}" for base in psrs for policy in ("zero", "avg")]
+    exceptions = {"harmonic:zero", f"approval{m}:zero", f"approval{m}:avg"}
+    for text in [t for t in texts if t not in exceptions] + ["copeland", "maximin", "rp", "stv"]:
+        rule = parse_rule(text)
+        assert tally.winner(rule, None, tb) == tally.winner(rule, m - 1, tb), text
+
+
 def test_counts_above_int64_stay_exact():
     big = 2**62
     ballots = (((0, 1, 2), big), ((1, 2, 0), big), ((2, 0, 1), big - 1), ((0, 2, 1), 3))
@@ -162,8 +177,8 @@ def test_k_range_and_complete_rule_checks():
         for k in (0, 4):
             with pytest.raises(DomainError):
                 tally.winner(parse_rule(rule), k, tb)
-        with pytest.raises(DomainError, match="complete ballots"):
-            tally.winner(parse_rule(rule), None, tb)
+        # incomplete ballots: the truth is the rule read to depth m-1
+        assert tally.winner(parse_rule(rule), None, tb) == tally.winner(parse_rule(rule), 3, tb)
     with pytest.raises(DomainError):
         tally.winner(parse_rule("borda"), 2, TieBreak.by_index(3))
     with pytest.raises(DomainError):
