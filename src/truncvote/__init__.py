@@ -7,6 +7,7 @@ ingestion, and a seeded Monte-Carlo experiment harness.
 """
 
 from .ballots import (
+    BallotList,
     DomainError,
     PairwiseTally,
     Profile,
@@ -31,6 +32,8 @@ from .bounds import (
     price_of_truncation,
     psr_adversarial,
     psr_bounds,
+    rule_adversarial,
+    rule_bound,
 )
 from .experiments import (
     ExperimentConfig,

@@ -1,18 +1,17 @@
-"""Core data model: candidates, ballots, profiles, tallies.
+"""Core data model: candidates, ballots, weighted ballot lists, tallies.
 
 Candidates are dense integer ids ``0..m-1`` and a ballot is a non-empty
-prefix of distinct ids. Profiles are weighted multisets of ballots (ballot,
-count), so electorates with millions of voters but few distinct ballots stay
-cheap. Everything here is immutable and every operation is a pure function;
-tallies are exact integers.
-
-Every weighted ballot list passes one numpy check, :func:`_position_matrix`:
-the containers through :func:`_checked_entries`, the integer tally directly.
+prefix of distinct ids. A :class:`BallotList` keeps a weighted multiset of
+ballots as the rank matrix of its distinct ballots, built by the one ballot
+check, and their counts, so electorates with millions of voters but few
+distinct ballots stay cheap, and the tally reads the matrix as it is.
+Everything here is immutable and every operation is a pure function; tallies
+are exact integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,21 +65,6 @@ def _orders(m: int, ranks: np.ndarray) -> list[Ballot]:
     return [tuple(row[:n]) for row, n in zip(ranks.argsort(axis=1).tolist(), lengths)]
 
 
-def _checked_entries(m: int, ballots: WeightedBallots) -> tuple[Entries, np.ndarray]:
-    """The list's duplicates merged, in canonical (sorted) order, and the rank
-    matrix of these distinct ballots; rejects a count <= 0 and an empty list."""
-    acc: dict[Ballot, int] = {}
-    for order, count in ballots:
-        if count <= 0:
-            raise DomainError(f"ballot count must be positive, got {count}")
-        key = tuple(order)
-        acc[key] = acc.get(key, 0) + count
-    if not acc:
-        raise DomainError("a ballot list needs at least one ballot")
-    entries = tuple(sorted(acc.items()))
-    return entries, _position_matrix(m, [order for order, _ in entries])
-
-
 @dataclass(frozen=True)
 class TieBreak:
     """A fixed priority permutation; earlier entries win every tie."""
@@ -105,48 +89,82 @@ class TieBreak:
         return max(candidates, key=self.rank)
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Weighted multiset of complete rankings over m candidates."""
+@dataclass(frozen=True, eq=False)
+class BallotList:
+    """Weighted multiset of ballots over m candidates: the rank matrix
+    (:func:`_position_matrix`) of the distinct ballots, in canonical (sorted)
+    order, and each one's positive count.
+
+    :meth:`from_ballots` checks the ballots and builds the matrix; the
+    constructor takes a matrix an earlier check built. A subclass adds its
+    own fields after ``counts`` and checks its own rule in ``__post_init__``.
+    """
 
     m: int
-    entries: Entries
+    ranks: np.ndarray
+    counts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n", sum(self.counts))
 
     @classmethod
-    def from_ballots(cls, m: int, ballots: WeightedBallots) -> "Profile":
-        entries, ranks = _checked_entries(m, ballots)
-        if not (ranks < m).all():
-            raise DomainError(f"every ballot must rank all {m} candidates")
-        return cls(m, entries)
+    def from_ballots(cls, m: int, *fields_then_ballots):
+        """The list of (ballot, count) pairs given last, duplicates merged; the
+        arguments before it are the subclass's own fields (``TopKProfile``'s k,
+        say). Rejects a count <= 0 and an empty list."""
+        *own, ballots = fields_then_ballots
+        acc: dict[Ballot, int] = {}
+        for order, count in ballots:
+            if count <= 0:
+                raise DomainError(f"ballot count must be positive, got {count}")
+            key = tuple(order)
+            acc[key] = acc.get(key, 0) + count
+        if not acc:
+            raise DomainError("a ballot list needs at least one ballot")
+        entries = sorted(acc.items())
+        ranks = _position_matrix(m, [order for order, _ in entries])
+        return cls(m, ranks, tuple(count for _, count in entries), *own)
 
     @property
-    def n(self) -> int:
-        return sum(count for _, count in self.entries)
+    def entries(self) -> Entries:
+        """The distinct ballots with their counts, decoded on every access."""
+        return tuple(zip(_orders(self.m, self.ranks), self.counts))
+
+    def _key(self) -> tuple:
+        own = (getattr(self, f.name) for f in fields(self) if f.name != "ranks")
+        return type(self), self.ranks.tobytes(), *own
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BallotList) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class TopKProfile:
-    """Weighted multiset of top-k prefixes.
+class Profile(BallotList):
+    """Weighted multiset of complete rankings over m candidates."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not (self.ranks < self.m).all():
+            raise DomainError(f"every ballot must rank all {self.m} candidates")
+
+
+@dataclass(frozen=True, eq=False)
+class TopKProfile(BallotList):
+    """Weighted multiset of top-k prefixes: ``from_ballots(m, k, ballots)``.
 
     Ballots shorter than k are allowed: real-world (SOI) ballots may be
     incomplete to begin with, and truncation leaves them untouched.
     """
 
-    m: int
     k: int
-    entries: Entries
 
-    @classmethod
-    def from_ballots(cls, m: int, k: int, ballots: WeightedBallots) -> "TopKProfile":
-        _check_k(k, m)
-        entries, ranks = _checked_entries(m, ballots)
-        if (ranks == k).any():  # some ballot fills position k
-            raise DomainError(f"a ballot is longer than k={k}")
-        return cls(m, k, entries)
-
-    @property
-    def n(self) -> int:
-        return sum(count for _, count in self.entries)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_k(self.k, self.m)
+        if (self.ranks == self.k).any():  # some ballot fills position k
+            raise DomainError(f"a ballot is longer than k={self.k}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ from math import perm
 from typing import Sequence
 
 from .ballots import DomainError, Profile, TieBreak, _check_k
-from .rules import RuleId, ScoringVector, _validate_head, co_winners
+from .rules import (
+    RuleId, ScoringVector, _validate_head, co_winners, completion_score, scoring_vector
+)
 from .tally import IntegerTally
 
 
@@ -157,7 +159,7 @@ def psr_adversarial(s: ScoringVector, k: int, s_star: Fraction) -> AdversarialIn
     # complete rule; coincides with the closed-form bound when s_star = 0 and
     # s_m = 0. For s_m > 0 it falls short of the bound, and it is not the
     # worst case either: other profiles reach a higher ratio in some cells
-    scores = IntegerTally.of(profile.m, profile.entries).psr(s)
+    scores = IntegerTally(profile.ranks, profile.counts).psr(s)
     return AdversarialInstance(profile, k, x1=0, x2=1, claimed_ratio=Fraction(scores[1], scores[0]))
 
 
@@ -222,6 +224,30 @@ def copeland_adversarial(m: int, k: int) -> AdversarialInstance:
     )
 
 
+def rule_bound(rule: RuleId, m: int, k: int) -> RatioBound:
+    """The worst-case bounds of a PSR, Maximin or Copeland rule at (m, k)."""
+    if rule.family == "psr":
+        vector = scoring_vector(rule, m)
+        return psr_bounds(vector, k, completion_score(vector, k, rule.policy))
+    if rule.family == "maximin":
+        return maximin_bounds(m, k)
+    if rule.family == "copeland":
+        return copeland_bounds(m, k)
+    raise UnsupportedRuleError(f"no score-ratio bounds for {rule.family}")
+
+
+def rule_adversarial(rule: RuleId, m: int, k: int) -> AdversarialInstance:
+    """The witness profile of a PSR, Maximin or Copeland rule at (m, k)."""
+    if rule.family == "psr":
+        vector = scoring_vector(rule, m)
+        return psr_adversarial(vector, k, completion_score(vector, k, rule.policy))
+    if rule.family == "maximin":
+        return maximin_adversarial(m, k)
+    if rule.family == "copeland":
+        return copeland_adversarial(m, k)
+    raise UnsupportedRuleError(f"no adversarial construction for {rule.family}")
+
+
 def truncation_prices(
     tally: IntegerTally, rule: RuleId, k_values: Sequence[int], tb: TieBreak
 ) -> list[Ratio]:
@@ -245,4 +271,4 @@ def price_of_truncation(
     winner's complete score is zero (Copeland only, in practice)."""
     if tb is None:
         tb = TieBreak.by_index(profile.m)
-    return truncation_prices(IntegerTally.of(profile.m, profile.entries), rule, (k,), tb)[0]
+    return truncation_prices(IntegerTally(profile.ranks, profile.counts), rule, (k,), tb)[0]

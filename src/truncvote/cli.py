@@ -17,24 +17,19 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
-from . import bounds as bounds_mod
 from . import experiments as exp
 from .ballots import DomainError, TieBreak
 from .bounds import (
     ConstructionInapplicableError,
     UnsupportedRuleError,
-    copeland_adversarial,
-    copeland_bounds,
     is_infinite,
-    maximin_adversarial,
-    maximin_bounds,
     price_of_truncation,
-    psr_adversarial,
-    psr_bounds,
+    rule_adversarial,
+    rule_bound,
 )
 from .mallows import MallowsModel, make_rng, sample_profile
 from .preflib import ElectionDataset, PreflibParseError, load, serialize_classic
-from .rules import RuleId, RuleParseError, completion_score, parse_rule, scoring_vector
+from .rules import RuleId, RuleParseError, parse_rule
 from .tally import IntegerTally
 
 
@@ -126,7 +121,7 @@ def _cmd_winner(args) -> int:
 
 def _cmd_truncate(args) -> int:
     ds = load(args.profile)
-    truncated = [(order[: min(args.k, len(order))], count) for order, count in ds.ballots]
+    truncated = [(order[: min(args.k, len(order))], count) for order, count in ds.entries]
     if args.k < 1:
         raise DomainError(f"k must be >= 1, got {args.k}")
     _emit(
@@ -137,10 +132,9 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    profile = sample_profile(MallowsModel(args.m, args.phi), args.n, make_rng(args.seed))
-    names = [f"c{i + 1}" for i in range(args.m)]
-    ds = ElectionDataset.from_ballots(args.m, names, profile.entries)
-    _emit(serialize_classic(ds), args.out)
+    p = sample_profile(MallowsModel(args.m, args.phi), args.n, make_rng(args.seed))
+    names = tuple(f"c{i + 1}" for i in range(args.m))
+    _emit(serialize_classic(ElectionDataset(p.m, p.ranks, p.counts, names)), args.out)
     return 0
 
 
@@ -148,32 +142,10 @@ def _fmt_ratio(value) -> str:
     return "inf" if is_infinite(value) else str(Fraction(value))
 
 
-def _bounds_for(rule: RuleId, m: int, k: int) -> bounds_mod.RatioBound:
-    if rule.family == "psr":
-        vector = scoring_vector(rule, m)
-        return psr_bounds(vector, k, completion_score(vector, k, rule.policy))
-    if rule.family == "maximin":
-        return maximin_bounds(m, k)
-    if rule.family == "copeland":
-        return copeland_bounds(m, k)
-    raise UnsupportedRuleError(f"no score-ratio bounds for {rule.family}")
-
-
-def _adversarial_for(rule: RuleId, m: int, k: int) -> bounds_mod.AdversarialInstance:
-    if rule.family == "psr":
-        vector = scoring_vector(rule, m)
-        return psr_adversarial(vector, k, completion_score(vector, k, rule.policy))
-    if rule.family == "maximin":
-        return maximin_adversarial(m, k)
-    if rule.family == "copeland":
-        return copeland_adversarial(m, k)
-    raise UnsupportedRuleError(f"no adversarial construction for {rule.family}")
-
-
 def _attained(rule: RuleId, m: int, k: int) -> str:
     """The ratio the adversarial profile attains; empty where no construction applies."""
     try:
-        inst = _adversarial_for(rule, m, k)
+        inst = rule_adversarial(rule, m, k)
     except (DomainError, ConstructionInapplicableError):
         return ""
     return _fmt_ratio(price_of_truncation(inst.profile, rule.at_k(None), k))
@@ -186,7 +158,7 @@ def _cmd_bounds(args) -> int:
         for m in args.m:
             for k in (k for k in args.k if k < m):  # no bound is defined at k >= m
                 try:
-                    bound = _bounds_for(rule, m, k)
+                    bound = rule_bound(rule, m, k)
                 except DomainError:  # nor where the rule itself has none at this m
                     continue
                 rows.append({"rule": rule.label, "m": str(m), "k": str(k),
@@ -196,19 +168,20 @@ def _cmd_bounds(args) -> int:
         return 0
     if len(args.m) != 1 or len(args.k) != 1:
         raise UsageError("--m and --k need one value each without --csv")
-    bound = _bounds_for(rule, args.m[0], args.k[0])
-    print(f"lower={_fmt_ratio(bound.lower)} upper={_fmt_ratio(bound.upper)}")
+    m, k = args.m[0], args.k[0]
+    bound = rule_bound(rule, m, k)
+    attained = f" attained={_attained(rule, m, k)}" if args.attained else ""
+    print(f"lower={_fmt_ratio(bound.lower)} upper={_fmt_ratio(bound.upper)}{attained}")
     return 0
 
 
 def _cmd_adversarial(args) -> int:
     rule = parse_rule(args.rule)
-    inst = _adversarial_for(rule, args.m, args.k)
+    inst = rule_adversarial(rule, args.m, args.k)
     print(f"x1={inst.x1} x2={inst.x2} k={inst.k} ratio={_fmt_ratio(inst.claimed_ratio)}")
     if args.out:
-        names = [f"x{i + 1}" for i in range(args.m)]
-        ds = ElectionDataset.from_ballots(args.m, names, inst.profile.entries)
-        _emit(serialize_classic(ds), args.out)
+        p, names = inst.profile, tuple(f"x{i + 1}" for i in range(args.m))
+        _emit(serialize_classic(ElectionDataset(p.m, p.ranks, p.counts, names)), args.out)
     return 0
 
 

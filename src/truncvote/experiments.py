@@ -16,8 +16,8 @@ Every source runs through one trial loop. A source's ``tally(rng)`` hands
 over one :class:`~truncvote.tally.IntegerTally` per trial: a Mallows sample's
 rank matrix goes straight in (no ranking tuple is built), a real-data trial
 hands over the rows its voters cast of its dataset's rank matrix, and a fixed
-profile's entries are encoded and checked by ``IntegerTally.of``. That tally
-serves the ground truth and every (rule, k): no ballot list is merged,
+profile hands over the rank matrix its ballot check built. That tally serves
+the ground truth and every (rule, k): no ballot list is encoded, merged,
 sorted, truncated or re-validated, and every score is an exact integer.
 ``Fraction`` appears only in the reported score ratios.
 
@@ -49,7 +49,7 @@ from .bounds import Ratio, is_infinite, truncation_prices
 from .mallows import MallowsModel, sample_ranks, trial_rng
 from .preflib import ElectionDataset, _draw
 from .rules import SCORED_FAMILIES, RuleId, co_winners
-from .tally import IntegerTally
+from .tally import IntegerTally, _rule_weights
 
 SUCCESS_COLUMNS = ("rule", "k", "phi", "n", "trials", "seed", "rate")
 RATIO_COLUMNS = ("rule", "k", "phi", "n", "trials", "seed", "mean_ratio", "max_ratio", "inf_count")
@@ -112,7 +112,7 @@ class FixedSource:
         return self.profile.m
 
     def tally(self, rng: np.random.Generator) -> IntegerTally:
-        return IntegerTally.of(self.m, self.profile.entries)
+        return IntegerTally(self.profile.ranks, self.profile.counts)
 
 
 ProfileSource = MallowsSource | PreflibSource | FixedSource
@@ -147,6 +147,16 @@ class ExperimentConfig:
             raise DomainError(f"no k in [1, m-1] for m = {m}")
         for k in self.k_values:
             _check_k(k, m)
+        # every PSR head a trial reads is checked before any trial or pool starts
+        depths = list(self.k_values)
+        if isinstance(self.source, PreflibSource):
+            depths.append(m - 1)  # the truth of a real-data draw with a short ballot
+        for rule in (rule for rule in self.rules if rule.family == "psr"):
+            for k in depths:
+                try:
+                    _rule_weights(rule.base, rule.width, rule.policy, m, k)
+                except DomainError as err:
+                    raise DomainError(f"{rule.at_k(k)}: {err}") from None
         if self.tiebreak is not None and len(self.tiebreak.priority) != m:
             raise DomainError(
                 f"tie-break priority needs m = {m} entries, got {len(self.tiebreak.priority)}"

@@ -4,19 +4,20 @@ Both the classic layout (m; "id,name" lines; "n,sum,unique"; "count,ids...")
 and the modern '#'-metadata layout ("count: ids...") are accepted. Only
 strict orders are supported: ballots with '{' tie-groups are rejected.
 
-A dataset keeps the rank matrix of its ballot check; a real-data trial slices
-the rows it draws (:func:`_draw`) into an :class:`~truncvote.tally.IntegerTally`.
+A dataset is a :class:`~truncvote.ballots.BallotList` with candidate names;
+a real-data trial slices the rows of its rank matrix that it draws
+(:func:`_draw`) into an :class:`~truncvote.tally.IntegerTally`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .ballots import Ballot, DomainError, Entries, TopKProfile, WeightedBallots, _checked_entries, _orders
+from .ballots import Ballot, BallotList, DomainError, Entries, TopKProfile, WeightedBallots, _orders
 
 
 class PreflibParseError(ValueError):
@@ -28,40 +29,19 @@ class PreflibParseError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class ElectionDataset:
-    """Parsed election: candidate names, and the rank matrix of the distinct
-    (possibly incomplete) ballots, in canonical order, with each one's count."""
+class ElectionDataset(BallotList):
+    """Parsed election: ``from_ballots(m, names, ballots)``, the distinct
+    (possibly incomplete) ballots with one name per candidate."""
 
-    m: int
     candidate_names: tuple[str, ...]
-    ranks: np.ndarray
-    counts: tuple[int, ...]
-
-    @classmethod
-    def from_ballots(cls, m: int, names: Sequence[str], ballots: WeightedBallots) -> "ElectionDataset":
-        if len(names) != m:
-            raise DomainError("need one name per candidate")
-        entries, ranks = _checked_entries(m, ballots)
-        return cls(m, tuple(names), ranks, tuple(count for _, count in entries))
 
     def __post_init__(self) -> None:
-        # computed once per dataset and pickled with it: every draw reads both
-        object.__setattr__(self, "n", sum(self.counts))
+        super().__post_init__()
+        if len(self.candidate_names) != self.m:
+            raise DomainError("need one name per candidate")
+        object.__setattr__(self, "candidate_names", tuple(self.candidate_names))
+        # computed once per dataset and pickled with it: every draw reads it
         object.__setattr__(self, "_cumulative_counts", np.cumsum(self.counts))
-
-    @property
-    def ballots(self) -> Entries:
-        """The distinct ballots with their counts, decoded on every access."""
-        return tuple(zip(_orders(self.m, self.ranks), self.counts))
-
-    def _key(self) -> tuple:
-        return self.m, self.candidate_names, self.counts, self.ranks.tobytes()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ElectionDataset) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 def _parse_ballot_line(part: str, m: int, line: int) -> Ballot:
@@ -220,7 +200,7 @@ def serialize_classic(ds: ElectionDataset) -> str:
         out.append(f"{i},{name}")
     out.append(f"{ds.n},{ds.n},{len(ds.counts)}")
     ids = [str(c + 1) for c in range(ds.m)]
-    for order, count in zip(_orders(ds.m, ds.ranks), ds.counts):
+    for order, count in ds.entries:
         out.append(",".join([str(count)] + [ids[c] for c in order]))
     return "\n".join(out) + "\n"
 

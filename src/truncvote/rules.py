@@ -179,9 +179,10 @@ def stv_winner(profile: Profile | TopKProfile, tb: TieBreak) -> int:
     ignored. Ties eliminate the lowest-priority candidate.
     """
     active = set(range(profile.m))
+    entries = profile.entries  # decoded once, not once per round
     while len(active) > 1:
         counts = {c: 0 for c in active}
-        for order, weight in profile.entries:
+        for order, weight in entries:
             for c in order:
                 if c in active:
                     counts[c] += weight
@@ -346,4 +347,4 @@ def apply_rule(rule: RuleId, profile: Profile | TopKProfile, tb: TieBreak | None
     if tb is None:
         tb = TieBreak.by_index(profile.m)
     _check_input(rule, profile)
-    return IntegerTally.of(profile.m, profile.entries).winner(rule, rule.k, tb)
+    return IntegerTally(profile.ranks, profile.counts).winner(rule, rule.k, tb)

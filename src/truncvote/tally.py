@@ -1,10 +1,10 @@
 """Exact integer counts of one weighted ballot list, shared by every rule and every k.
 
 An :class:`IntegerTally` is built once per ballot list, complete or
-prefix/SOI, from its rank matrix and counts: the Mallows sampler's
-(:func:`truncvote.mallows.sample_ranks`) or a parsed dataset's rows as they
-are, other ballots encoded and checked by :meth:`IntegerTally.of` through the
-ballot check of :mod:`truncvote.ballots`. It holds two count tables:
+prefix/SOI, from its rank matrix and counts as they are: those of a
+:class:`~truncvote.ballots.BallotList`, the rows a real-data trial draws of
+its dataset's, or the Mallows sampler's
+(:func:`truncvote.mallows.sample_ranks`). It holds two count tables:
 
 - the position counts ``C[c][p]``: total weight of the ballots that rank
   candidate c at position p (0-based, p < m);
@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ballots import DomainError, PairwiseTally, TieBreak, WeightedBallots, _check_k, _position_matrix
+from .ballots import DomainError, PairwiseTally, TieBreak, _check_k
 from .rules import (
     SCORED_FAMILIES,
     RuleId,
@@ -69,8 +69,8 @@ def _rule_weights(
 
 class IntegerTally:
     """Position counts and cumulative dominance counts of a weighted ballot list,
-    from its rank matrix (:func:`_position_matrix`, one row per distinct ballot)
-    and each row's positive int count; :meth:`of` checks the ballots it encodes.
+    from its rank matrix (``BallotList.ranks``, one row per distinct ballot)
+    and each row's positive int count.
 
     ``k=None`` in :meth:`scores` and :meth:`winner` is the ground truth of
     the ballots: the complete rule when every ballot is complete, else the
@@ -101,13 +101,6 @@ class IntegerTally:
             layers.append(dominance.tolist())
         self._positions = np.stack(columns, axis=1).tolist()
         self._dominance = layers
-
-    @classmethod
-    def of(cls, m: int, ballots: WeightedBallots) -> "IntegerTally":
-        """The tally of distinct weighted ballots, rankings or prefixes of 0..m-1."""
-        entries = list(ballots)
-        return cls(_position_matrix(m, [order for order, _ in entries]),
-                   [count for _, count in entries])
 
     def _level(self, k: int | None) -> int:
         """The number of leading positions a rule at k reads; for k None, m

@@ -2,17 +2,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from truncvote import (
+    BallotList,
     DomainError,
     ElectionDataset,
-    IntegerTally,
     Profile,
     TieBreak,
     TopKProfile,
     dominance_tally,
+    apply_rule,
     pairwise_tally,
+    parse_rule,
+    price_of_truncation,
+    rule_adversarial,
     truncate,
 )
+from truncvote import ballots as ballots_mod
+from truncvote import experiments as exp
 from truncvote.ballots import _orders, _position_matrix
+from truncvote.cli import main
 
 # pairwise tally of the 62-voter fixture, computed by hand from the four
 # ballot blocks
@@ -193,10 +200,9 @@ def test_one_check_rejects_what_the_per_ballot_rules_reject(drawn):
             _oracle_entries(ballots, longest(k))
         )
     names = [str(c) for c in range(m)]
-    dataset = _accepted(lambda: ElectionDataset.from_ballots(m, names, ballots), "ballots")
+    dataset = _accepted(lambda: ElectionDataset.from_ballots(m, names, ballots))
     assert dataset == _oracle_entries(ballots, lambda order: _oracle_prefix(order, m))
-    tally = _accepted(lambda: IntegerTally.of(m, ballots), "n")
-    assert (tally is None) == (dataset is None)
+    assert _accepted(lambda: BallotList.from_ballots(m, ballots)) == dataset
 
 
 @st.composite
@@ -215,3 +221,28 @@ def prefix_lists(draw):
 def test_orders_inverts_the_position_matrix(drawn):
     m, orders = drawn
     assert _orders(m, _position_matrix(m, orders)) == list(orders)
+
+
+def test_each_ballot_list_is_checked_once(monkeypatch, tmp_path, example1):
+    # a list's rank matrix is built by its one check and then only read: by
+    # the tally of every rule, a witness's price, a fixed-source trial, and
+    # the dataset the CLI writes a sampled or witness profile through
+    calls = []
+
+    def counted(m, orders):
+        calls.append(len(orders))
+        return _position_matrix(m, orders)
+
+    monkeypatch.setattr(ballots_mod, "_position_matrix", counted)
+    rule = parse_rule("borda:zero")
+    witness = rule_adversarial(rule, 6, 3)
+    assert calls == [len(witness.profile.counts)]
+    price_of_truncation(witness.profile, rule, 3)
+    apply_rule(rule.at_k(2), witness.profile)
+    apply_rule(rule, example1)
+    exp.run_success_rate(exp.ExperimentConfig(exp.FixedSource(example1), (rule,), (1, 2), 3, 1))
+    assert len(calls) == 1
+    for argv in (["sample", "--m", "5", "--n", "40", "--phi", "0.8", "--seed", "1"],
+                 ["adversarial", "--rule", "maximin", "--m", "5", "--k", "2"]):
+        assert main([*argv, "--out", str(tmp_path / "out.soc")]) == 0
+    assert len(calls) == 3

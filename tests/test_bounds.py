@@ -14,6 +14,7 @@ from truncvote import (
     UnsupportedRuleError,
     apply_rule,
     copeland_adversarial,
+    copeland_bounds,
     copeland_scores,
     is_infinite,
     maximin_adversarial,
@@ -24,9 +25,11 @@ from truncvote import (
     price_of_truncation,
     psr_adversarial,
     psr_bounds,
+    rule_adversarial,
+    rule_bound,
     truncate,
 )
-from truncvote.rules import approval_vector, borda_vector, harmonic_vector
+from truncvote.rules import approval_vector, borda_vector, completion_score, harmonic_vector
 
 F = Fraction
 
@@ -194,3 +197,22 @@ def test_price_rejects_non_score_rules(example1):
         price_of_truncation(example1, parse_rule("rp"), 2)
     with pytest.raises(UnsupportedRuleError):
         price_of_truncation(example1, parse_rule("stv"), 2)
+
+
+def test_rule_dispatch_equals_the_direct_calls():
+    harmonic = harmonic_vector(6)
+    avg = completion_score(harmonic, 3, "avg")
+    assert rule_bound(parse_rule("harmonic:avg"), 6, 3) == psr_bounds(harmonic, 3, avg)
+    assert rule_bound(parse_rule("maximin"), 6, 3) == maximin_bounds(6, 3)
+    assert rule_bound(parse_rule("copeland"), 6, 3) == copeland_bounds(6, 3)
+    assert rule_adversarial(parse_rule("harmonic:avg"), 6, 3) == psr_adversarial(harmonic, 3, avg)
+    assert rule_adversarial(parse_rule("maximin"), 6, 3) == maximin_adversarial(6, 3)
+    assert rule_adversarial(parse_rule("copeland"), 6, 3) == copeland_adversarial(6, 3)
+
+
+@pytest.mark.parametrize("rule", ["rp", "stv"])
+def test_rule_dispatch_rejects_order_rules(rule):
+    with pytest.raises(UnsupportedRuleError, match=f"no score-ratio bounds for {rule}"):
+        rule_bound(parse_rule(rule), 6, 3)
+    with pytest.raises(UnsupportedRuleError, match=f"no adversarial construction for {rule}"):
+        rule_adversarial(parse_rule(rule), 6, 3)

@@ -11,7 +11,7 @@ from truncvote import experiments as exp
 from truncvote import parse_rule
 from truncvote.cli import main
 
-from conftest import EXAMPLE1_CLASSIC, HARMONIC_SPLIT_BALLOTS
+from conftest import EXAMPLE1_CLASSIC, HARMONIC_SPLIT_BALLOTS, TOY_MODERN
 
 
 def run(capsys, *argv):
@@ -86,6 +86,16 @@ def test_bounds_csv_with_attained(capsys):
     assert len(lines) == 3
 
 
+def test_bounds_single_line_with_attained(capsys):
+    for rule, m, k, line in (
+        ("borda", "5", "2", "lower=27/14 upper=27/14 attained=27/14"),
+        ("copeland", "5", "2", "lower=inf upper=inf attained=inf"),
+        ("maximin", "5", "4", "lower=1 upper=2 attained="),  # no construction at k = m-1
+    ):
+        code, out, _ = run(capsys, "bounds", "--rule", rule, "--m", m, "--k", k, "--attained")
+        assert code == 0 and out == line + "\n", rule
+
+
 def test_bounds_csv_grid_skips_undefined_cells(capsys):
     # the README example: k >= m has no bound, k = m-1 has no construction
     code, out, _ = run(capsys, "bounds", "--rule", "maximin", "--m", "4:8", "--k", "2:6",
@@ -151,6 +161,23 @@ def test_adversarial_command(capsys, tmp_path):
     assert out.strip() == "x1=0 x2=1 k=2 ratio=3"
     code, out, _ = run(capsys, "parse-check", str(out_file))
     assert code == 0 and out.strip() == "m=5 n=5 unique_ballots=5"
+
+
+@pytest.mark.parametrize("rule, k, digest", [
+    ("borda:zero", 2, "87710025deabee9bb69de1b88421edca9919683215d98011f135e5bea8826f29"),
+    ("borda:zero", 3, "e545c28136ae6064cd905f137401b7b3e42e8675bd795cb64a53b93368b13486"),
+    ("harmonic:avg", 2, "75110baf92e0962e5c682e87ba52609a46512e575a987aeb3d7bd98fc36a75e6"),
+    ("harmonic:avg", 3, "aa47260b9c82225f42ef6ee436ac8bd3690d78ff491846bebe7d3ce2066a2e91"),
+    ("maximin", 2, "9fabb81f64d04b3215d3d9767a6dbc001cf63a36ac6e33a92c5e55a95ef09189"),
+    ("maximin", 3, "8b642660d0f2ad8abbdba44f564503f62c58f1d70cba0e115bac090dd88ea229"),
+    ("copeland", 2, "7183a3ebde46e88bc93d89f797ffbbbfe102e4467c01a99624cb895c5525cc3d"),
+    ("copeland", 3, "b9787d030296316f3a56a8ec615005bca3db2cc407f4f38b9f672b24afe59baf"),
+])
+def test_adversarial_out_file_bytes_are_pinned(capsys, tmp_path, rule, k, digest):
+    out_file = tmp_path / "witness.soc"
+    code, _, _ = run(capsys, "adversarial", "--rule", rule, "--m", "6", "--k", str(k),
+                     "--out", str(out_file))
+    assert code == 0 and hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 def test_parse_check_rejects_a_non_positive_modern_candidate_count(capsys, tmp_path):
@@ -409,6 +436,26 @@ def test_bad_mallows_cell_rejected_before_any_trial(capsys, monkeypatch, mode, k
     code, out, err = run(capsys, "experiment", mode, "--rule", "borda", "--m", m, *k,
                          "--n", "10", "--phi", phi, "--trials", "2", "--seed", "1")
     assert code == 1 and out == "" and message in err
+
+
+@pytest.mark.parametrize("rule, cell, message", [
+    ("approval5:avg", ("success", "--m", "5", "--n", "10", "--phi", "1", "--k", "1:4"),
+     "approval5@k=1:avg: need head_1 > s_star"),
+    ("approval6:avg", ("success", "--m", "5", "--n", "10", "--phi", "1", "--k", "2"),
+     "approval6@k=2:avg: approval width must be in [1, m], got 6"),
+    ("approval3:avg", ("real-sweep", "--n-star", "3", "--k", "1"),
+     "approval3@k=1:avg: need head_1 > s_star"),
+], ids=["mallows", "width", "real"])
+def test_psr_without_a_valid_head_is_named_before_any_pool_starts(capsys, tmp_path, rule,
+                                                                   cell, message):
+    toy = tmp_path / "toy.soi"
+    toy.write_text(TOY_MODERN, encoding="utf-8")
+    data = ("--data", str(toy)) if cell[0] == "real-sweep" else ()
+    exp.shutdown_pool()
+    code, out, err = run(capsys, "experiment", *cell, *data, "--rule", f"borda,{rule}",
+                         "--trials", "2", "--seed", "1", "--workers", "2")
+    assert code == 1 and out == "" and message in err
+    assert exp._pool is None
 
 
 @pytest.mark.parametrize("n_star, message", [

@@ -16,14 +16,16 @@ from truncvote import (
     min_k_search,
     parse_preflib,
     parse_rule,
+    price_of_truncation,
+    rule_adversarial,
     run_ratio,
     run_success_rate,
     sweep_real_data,
     write_csv,
 )
 from truncvote import experiments as exp
+from truncvote import ballots as ballots_mod
 from truncvote import preflib as preflib_mod
-from truncvote import tally as tally_mod
 from truncvote.experiments import (
     MIN_K_COLUMNS,
     RATIO_COLUMNS,
@@ -204,9 +206,10 @@ def fresh_pool():
 
 
 def test_mallows_trial_builds_no_ranking_tuple(monkeypatch, fresh_pool, example1):
-    # the sampler's rank matrix, and the rows a real-data trial draws of its
-    # dataset's, go straight into the tally; only ballots given as ranking
-    # tuples pass through the encoder, and no trial decodes ballots
+    # the sampler's rank matrix, the rows a real-data trial draws of its
+    # dataset's, and the matrix a profile's ballot check built go straight
+    # into the tally: no trial encodes or decodes ballots, and neither does
+    # pricing a witness profile
     rules = (parse_rule("borda:zero"), parse_rule("copeland"), parse_rule("maximin"))
     cfg = ExperimentConfig(
         MallowsSource(m=5, n=40, phi=0.8), rules, (1, 2, 3), trials=6, base_seed=7
@@ -214,7 +217,11 @@ def test_mallows_trial_builds_no_ranking_tuple(monkeypatch, fresh_pool, example1
     real = ExperimentConfig(
         PreflibSource(parse_preflib(EXAMPLE1_CLASSIC), 30), rules, (1, 2), trials=6, base_seed=7
     )
-    expected = run_success_rate(cfg), run_ratio(cfg), run_success_rate(real)
+    fixed = _fixed_cfg(example1, ["borda:zero", "copeland"], [1, 2])
+    witness = rule_adversarial(rules[0], 6, 3)
+    expected = (run_success_rate(cfg), run_ratio(cfg), run_success_rate(real),
+                run_success_rate(fixed), run_ratio(fixed))
+    price = price_of_truncation(witness.profile, rules[0], 3)
 
     def encode(*args):
         raise AssertionError("ranking tuples were encoded")
@@ -222,13 +229,14 @@ def test_mallows_trial_builds_no_ranking_tuple(monkeypatch, fresh_pool, example1
     def decode(*args):
         raise AssertionError("ballots were decoded")
 
-    monkeypatch.setattr(tally_mod, "_position_matrix", encode)
+    monkeypatch.setattr(ballots_mod, "_position_matrix", encode)
+    monkeypatch.setattr(ballots_mod, "_orders", decode)
     monkeypatch.setattr(preflib_mod, "_orders", decode)
     for workers in (1, 2):
         assert (run_success_rate(cfg, workers), run_ratio(cfg, workers),
-                run_success_rate(real, workers)) == expected
-        with pytest.raises(AssertionError, match="encoded"):
-            run_success_rate(_fixed_cfg(example1, ["borda:zero"], [1]), workers)
+                run_success_rate(real, workers), run_success_rate(fixed, workers),
+                run_ratio(fixed, workers)) == expected
+    assert price_of_truncation(witness.profile, rules[0], 3) == price
 
 
 def test_worker_count_does_not_change_results():
@@ -303,7 +311,7 @@ def test_parallel_sweeps_never_reuse_a_stale_config():
     # two datasets of the same shape, so their configs differ only in content
     first = parse_preflib(EXAMPLE1_CLASSIC)
     second = ElectionDataset.from_ballots(
-        first.m, first.candidate_names, [(b[::-1], count) for b, count in first.ballots]
+        first.m, first.candidate_names, [(b[::-1], count) for b, count in first.entries]
     )
     rules = [parse_rule("borda"), parse_rule("copeland")]
 

@@ -22,7 +22,7 @@ def test_parse_classic():
     assert ds.m == 4
     assert ds.candidate_names == ("a", "b", "c", "d")
     assert ds.n == 62
-    assert ((0, 3, 2, 1), 20) in ds.ballots
+    assert ((0, 3, 2, 1), 20) in ds.entries
 
 
 def test_parse_modern():
@@ -30,7 +30,7 @@ def test_parse_modern():
     assert ds.m == 3
     assert ds.candidate_names == ("red", "green", "blue")
     assert ds.n == 7
-    assert dict(ds.ballots) == {(0, 1): 4, (2, 0, 1): 2, (1,): 1}
+    assert dict(ds.entries) == {(0, 1): 4, (2, 0, 1): 2, (1,): 1}
 
 
 def test_parse_bytes_and_load(tmp_path, example1_soc):
@@ -92,7 +92,7 @@ def test_empty_and_truncated_input():
 def test_resample_all_voters_is_identity():
     ds = parse_preflib(EXAMPLE1_CLASSIC)
     picked = resample(ds, ds.n, make_rng(0))
-    assert dict(picked) == dict(ds.ballots)
+    assert dict(picked) == dict(ds.entries)
 
 
 def test_resample_counts_and_determinism():
@@ -102,7 +102,7 @@ def test_resample_counts_and_determinism():
     assert a == b
     assert sum(c for _, c in a) == 20
     for order, count in a:
-        assert count <= dict(ds.ballots)[order]
+        assert count <= dict(ds.entries)[order]
     with pytest.raises(DomainError):
         resample(ds, 63, make_rng(0))
 

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from truncvote import (
     INFINITY,
+    BallotList,
     DomainError,
     MallowsModel,
     Profile,
@@ -33,6 +34,12 @@ from truncvote.rules import psr_scores
 from truncvote.tally import IntegerTally
 
 SCORED = ("borda:zero", "borda:avg", "harmonic:zero", "harmonic:avg", "copeland", "maximin")
+
+
+def _tally_of(m, ballots):
+    """The tally of a weighted ballot list, complete or not, after its one check."""
+    ballot_list = BallotList.from_ballots(m, ballots)
+    return IntegerTally(ballot_list.ranks, ballot_list.counts)
 
 
 @st.composite
@@ -89,7 +96,7 @@ def _check_against_oracle(tally, rule, k, profile, tb):
 def test_complete_profiles_match_the_fraction_rules(election, width):
     m, ballots, tb = election
     profile = Profile.from_ballots(m, ballots)
-    tally = IntegerTally.of(profile.m, profile.entries)
+    tally = IntegerTally(profile.ranks, profile.counts)
     assert tally.pairwise() == pairwise_tally(profile)
     for rule in _rules(m, min(width, m)):
         _check_against_oracle(tally, rule, None, profile, tb)
@@ -100,7 +107,7 @@ def test_complete_profiles_match_the_fraction_rules(election, width):
 @given(elections(complete=False), st.integers(1, 8))
 def test_soi_ballots_match_the_fraction_rules(election, width):
     m, ballots, tb = election
-    tally = IntegerTally.of(m, ballots)
+    tally = _tally_of(m, ballots)
     for k in range(1, m):
         topk = effective_truncate(ballots, k, m)
         assert tally.pairwise(k) == dominance_tally(topk)
@@ -128,7 +135,7 @@ def test_truth_on_complete_ballots_is_the_top_m_minus_1_rule(election):
     # form drops the points of the last position (approval-m with average
     # completion is no top-(m-1) rule at all)
     m, ballots, tb = election
-    tally = IntegerTally.of(m, ballots)
+    tally = _tally_of(m, ballots)
     psrs = ["borda", "harmonic"] + [f"approval{w}" for w in range(1, m + 1)]
     texts = [f"{base}:{policy}" for base in psrs for policy in ("zero", "avg")]
     exceptions = {"harmonic:zero", f"approval{m}:zero", f"approval{m}:avg"}
@@ -141,7 +148,7 @@ def test_counts_above_int64_stay_exact():
     big = 2**62
     ballots = (((0, 1, 2), big), ((1, 2, 0), big), ((2, 0, 1), big - 1), ((0, 2, 1), 3))
     profile = Profile.from_ballots(3, ballots)
-    tally = IntegerTally.of(profile.m, profile.entries)
+    tally = IntegerTally(profile.ranks, profile.counts)
     assert tally.n == 3 * big + 2
     assert tally.pairwise() == pairwise_tally(profile)
     tb = TieBreak.by_index(3)
@@ -167,11 +174,11 @@ def test_psr_rejects_what_topk_psr_scores_rejects(head, s_star):
     with pytest.raises(DomainError):
         topk_psr_scores(effective_truncate(ballots, 2, 4), head, s_star)
     with pytest.raises(DomainError):
-        IntegerTally.of(4, ballots).psr(head, s_star)
+        _tally_of(4, ballots).psr(head, s_star)
 
 
 def test_k_range_and_complete_rule_checks():
-    tally = IntegerTally.of(4, (((0, 1), 2), ((2, 3, 1, 0), 1)))
+    tally = _tally_of(4, (((0, 1), 2), ((2, 3, 1, 0), 1)))
     tb = TieBreak.by_index(4)
     for rule in ("borda", "copeland", "maximin", "rp", "stv"):
         for k in (0, 4):
@@ -195,7 +202,7 @@ def test_k_range_and_complete_rule_checks():
 ])
 def test_invalid_ballots_are_rejected(ballots):
     with pytest.raises(DomainError):
-        IntegerTally.of(4, ballots)
+        _tally_of(4, ballots)
 
 
 def _one_by_one(model: MallowsModel, n: int, seed: int) -> Profile:
@@ -223,7 +230,8 @@ def _check_decoded_ranks(model: MallowsModel, n: int, seed: int) -> None:
     for every k, and every rule's winner at every k."""
     m = model.m
     sampled = IntegerTally(*mallows.sample_ranks(model, n, mallows.make_rng(seed)))
-    oracle = IntegerTally.of(m, _one_by_one(model, n, seed).entries)
+    profile = _one_by_one(model, n, seed)
+    oracle = IntegerTally(profile.ranks, profile.counts)
     assert sampled.n == oracle.n and sampled._positions == oracle._positions
     assert sampled.pairwise(None) == oracle.pairwise(None)
     for k in range(1, m):
