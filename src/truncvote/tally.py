@@ -15,7 +15,9 @@ its dataset's, or the Mallows sampler's
 
 Every rule and every k reads these tables: PSR scores are integer sums over
 ``C`` with the vector scaled to integers, Copeland, Maximin and Ranked Pairs
-read ``D[k-1]``, and STV runs over the rank matrix. Scores are Python ints,
+read ``D[k-1]``, and STV runs over the rank matrix. STV eliminates once at
+the deepest level per tie-break priority; a run at depth k shares that run's
+first k rounds and plays only the rounds after them. Scores are Python ints,
 so they are exact; their ratios equal the ratios of the ``Fraction`` scores
 of :mod:`truncvote.rules`, which the tests use as the oracle.
 """
@@ -101,6 +103,8 @@ class IntegerTally:
             layers.append(dominance.tolist())
         self._positions = np.stack(columns, axis=1).tolist()
         self._dominance = layers
+        # per tie-break priority, the active sets of the deepest STV run
+        self._stv_runs: dict[tuple[int, ...], list[list[int]]] = {}
 
     def _level(self, k: int | None) -> int:
         """The number of leading positions a rule at k reads; for k None, m
@@ -168,10 +172,30 @@ class IntegerTally:
     def _stv(self, level: int, tb: TieBreak) -> int:
         """STV on the top-`level` prefixes: eliminate the active candidate with
         the lowest first-choice weight (ties: the lowest priority) until one is
-        left. A ballot ranking no active candidate is exhausted."""
+        left. A ballot ranking no active candidate is exhausted.
+
+        The deepest run (``level = _level(None)``) is made once per priority
+        and its active sets are kept. A shallower run shares its first
+        `level` rounds: after r - 1 < level eliminations each ballot's top
+        active candidate sits at position <= r - 1, which both runs see, and a
+        short ballot exhausts in the same round in both. So a run at `level`
+        starts from the deep run's active set after `level` eliminations and
+        plays only the rounds after it."""
+        runs = self._stv_runs.get(tb.priority)
+        if runs is None:
+            runs = self._stv_runs[tb.priority] = self._eliminate(
+                self._level(None), list(range(self.m)), tb
+            )
+        if level >= self.m - 1:
+            return runs[-1][0]
+        return self._eliminate(level, runs[level], tb)[-1][0]
+
+    def _eliminate(self, level: int, active: list[int], tb: TieBreak) -> list[list[int]]:
+        """The active sets of STV on the top-`level` prefixes from `active`,
+        one before each round and the last one the winner alone."""
         m = self.m
         rank = np.where(self._pos < level, self._pos, m)
-        active = list(range(m))
+        history = [active]
         while len(active) > 1:
             current = rank[:, active]
             top = current.argmin(axis=1)
@@ -181,5 +205,6 @@ class IntegerTally:
             tally = counts.tolist()
             least = min(tally)
             loser = tb.worst(c for c, count in zip(active, tally) if count == least)
-            active.remove(loser)
-        return active[0]
+            active = [c for c in active if c != loser]
+            history.append(active)
+        return history

@@ -163,6 +163,79 @@ def test_counts_above_int64_stay_exact():
     assert tally.psr((2, 1, 0)) == [int(s) for s in borda]
 
 
+def _stv_from_scratch(tally, level, tb):
+    """Reference STV on the top-`level` prefixes: the whole elimination, from
+    every candidate active, on the tally's rank matrix."""
+    m = tally.m
+    rank = np.where(tally._pos < level, tally._pos, m)
+    active = list(range(m))
+    while len(active) > 1:
+        current = rank[:, active]
+        top = current.argmin(axis=1)
+        live = current.min(axis=1) < m
+        counts = np.zeros(len(active), dtype=tally._weights.dtype)
+        np.add.at(counts, top[live], tally._weights[live])
+        tally_counts = counts.tolist()
+        least = min(tally_counts)
+        active.remove(tb.worst(c for c, count in zip(active, tally_counts) if count == least))
+    return active[0]
+
+
+@st.composite
+def stv_requests(draw):
+    """(m, ballots, complete, requests): an election, complete or SOI, whose
+    counts reach past int64 half of the time, and every (tie-break, k) pair
+    for k None and 1..m-1 under two different priorities, in a drawn order."""
+    complete, beyond_int64 = draw(st.booleans()), draw(st.booleans())
+    m, ballots, tb = draw(elections(complete))
+    if beyond_int64:
+        (order, count), *rest = ballots
+        ballots = ((order, count + 2**63), *rest)
+    other = TieBreak(draw(st.permutations(range(m)).map(tuple).filter(lambda p: p != tb.priority)))
+    pairs = [(t, k) for t in (tb, other) for k in (None, *range(1, m))]
+    return m, ballots, complete, draw(st.permutations(pairs))
+
+
+@given(stv_requests())
+def test_stv_at_every_depth_equals_the_whole_elimination(drawn):
+    m, ballots, complete, requests = drawn
+    tally = _tally_of(m, ballots)
+    assert (tally._weights.dtype == object) == (tally.n > 2**63 - 1)
+    stv = parse_rule("stv")
+    for tb, k in requests:
+        winner = tally.winner(stv, k, tb)
+        assert winner == _stv_from_scratch(_tally_of(m, ballots), tally._level(k), tb), (tb, k)
+        profile = (Profile.from_ballots(m, ballots) if k is None and complete
+                   else effective_truncate(ballots, k or m - 1, m))
+        assert winner == stv_winner(profile, tb), (tb, k)
+
+
+def test_stv_rounds_are_shared_across_depths(monkeypatch):
+    # each STV round breaks its tie for last place with one TieBreak.worst
+    # call: the deepest run plays m-1 rounds and a run at k only the m-1-k
+    # rounds after its own k
+    calls = []
+    worst = TieBreak.worst
+    monkeypatch.setattr(TieBreak, "worst", lambda tb, cs: calls.append(1) or worst(tb, cs))
+    stv = parse_rule("stv")
+
+    def rounds(tally, tb):
+        calls.clear()
+        for k in (None, *range(1, tally.m)):
+            tally.winner(stv, k, tb)
+        return len(calls)
+
+    complete = sample_profile(MallowsModel(7, 1.0), 200, mallows.make_rng(1))
+    tally = IntegerTally(complete.ranks, complete.counts)
+    assert rounds(tally, TieBreak.by_index(7)) == 21
+    assert rounds(tally, TieBreak(tuple(reversed(range(7))))) == 21
+    full = sample_profile(MallowsModel(12, 0.8), 50, mallows.make_rng(2))
+    ballots = [(order[: 1 + i % 12], count) for i, (order, count) in enumerate(full.entries)]
+    soi = _tally_of(12, ballots)
+    assert not soi.complete
+    assert rounds(soi, TieBreak.by_index(12)) == 66
+
+
 @pytest.mark.parametrize("head, s_star", [
     ((Fraction(1), Fraction(2)), Fraction(0)),     # increasing
     ((Fraction(1), Fraction(1, 2)), Fraction(-1)),  # negative completion
