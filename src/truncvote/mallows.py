@@ -6,8 +6,11 @@ and Z the usual product normalization; phi = 1 is Impartial Culture.
 Sampling uses repeated insertion (exact), driven by numpy's PCG64 generator
 so that a given seed reproduces the same profiles on every platform;
 :func:`sample_ranks` codes whole blocks of voters at once and decodes only
-the distinct codes, into the tally's rank matrix. Per-trial sub-streams are
-derived as ``default_rng([base_seed, trial_index])``.
+the distinct codes, into the tally's rank matrix. A voter's insertion slot
+at each step is the count of that step's cdf values <= its uniform: that
+equals ``bisect_right``, because the cdf is non-decreasing and ends at 1.0,
+and every uniform is below 1. Per-trial sub-streams are derived as
+``default_rng([base_seed, trial_index])``.
 """
 
 from __future__ import annotations
@@ -116,11 +119,18 @@ _MAX_CODED_M = 20
 
 def _slot_codes(model: MallowsModel, uniforms: np.ndarray) -> np.ndarray:
     """Each row's insertion slots as one mixed-radix code: step j's slot
-    (0..j+1, the ``bisect_right`` of :func:`_insert_from_uniforms`) is the
-    digit of radix j + 2, step 0 the most significant."""
+    (0..j+1) is the digit of radix j + 2, step 0 the most significant.
+
+    The slot is the count of step j's cdf values that are <= u, compared
+    branch-free over the whole column. That count is the ``bisect_right`` of
+    :func:`_insert_from_uniforms`, because the cdf is non-decreasing; and as
+    it ends at 1.0 while every uniform is below 1, only its first j + 1
+    values need comparing."""
     codes = np.zeros(len(uniforms), dtype=np.int64 if model.m <= _MAX_CODED_M else object)
+    slot_dtype = np.min_scalar_type(model.m)  # a slot is at most m - 1
     for j, cdf in enumerate(_insertion_cdfs(model.m, float(model.phi))):
-        codes = codes * (j + 2) + np.searchsorted(np.array(cdf), uniforms[:, j], side="right")
+        below = np.array(cdf[:-1])[:, None] <= np.ascontiguousarray(uniforms[:, j])
+        codes = codes * (j + 2) + below.sum(axis=0, dtype=slot_dtype)
     return codes
 
 

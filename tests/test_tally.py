@@ -331,20 +331,30 @@ def test_decoded_ranks_beyond_int64_codes(m):
     _check_decoded_ranks(MallowsModel(m, 0.9), 200, 5)
 
 
-def test_insertion_slots_are_bisect_right():
-    model = MallowsModel(6, 0.6)
-    cdfs = mallows._insertion_cdfs(6, 0.6)
-    # every cdf value itself, where bisect_right and bisect_left differ
-    columns = [sorted({0.0, *cdfs[-1][:-1], *cdf[:-1], 0.5, 1 - 2**-53}) for cdf in cdfs]
-    rows = len(columns[-1])
-    uniforms = np.array([[col[i % len(col)] for col in columns] for i in range(rows)])
+@pytest.mark.parametrize("m, phi", [(2, 0.5), (6, 0.6), (12, 1.0), (21, 0.9), (9, 1e-300)])
+def test_insertion_slots_are_bisect_right(m, phi):
+    # phi = 1 weighs every slot alike; phi = 1e-300 underflows, so the step
+    # cdfs start with repeated 0.0 values; m = 21 codes need Python ints
+    model = MallowsModel(m, phi)
+    cdfs = mallows._insertion_cdfs(m, phi)
+    # every cdf value, where bisect_right and bisect_left differ, the float
+    # just below it, and both ends of rng.random's range [0, 1)
+    values = {0.0, 1 - 2**-53}
+    for cdf in cdfs:
+        values.update(c for c in cdf if c < 1)
+        values.update(float(np.nextafter(c, 0)) for c in cdf)
+    values = np.array(sorted(values))
+    # step j sees every value, shifted by j rows so that rows mix them
+    uniforms = np.stack([np.roll(values, j) for j in range(m - 1)], axis=1)
     expected = []
     for row in uniforms:
         code = 0
         for j, u in enumerate(row):  # step j's slot is the digit of radix j + 2
             code = code * (j + 2) + bisect_right(cdfs[j], u)
         expected.append(code)
-    assert mallows._slot_codes(model, uniforms).tolist() == expected
+    codes = mallows._slot_codes(model, uniforms)
+    assert codes.dtype == (object if m > mallows._MAX_CODED_M else np.int64)
+    assert codes.tolist() == expected
 
 
 @pytest.mark.parametrize("m", [20, 21, 23])
