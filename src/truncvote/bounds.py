@@ -18,7 +18,8 @@ from typing import Sequence
 
 from .ballots import DomainError, Profile, TieBreak, _check_k
 from .rules import (
-    RuleId, ScoringVector, _validate_head, co_winners, completion_score, scoring_vector
+    SCORED_FAMILIES, RuleId, ScoringVector, _validate_head, co_winners, completion_score,
+    scoring_vector,
 )
 from .tally import IntegerTally
 
@@ -255,7 +256,7 @@ def truncation_prices(
 
     Both scores of a ratio come from one integer table under one scale, so
     the ratio is the same Fraction as the ratio of ``rule_scores`` values."""
-    if rule.family in ("rp", "stv"):
+    if rule.family not in SCORED_FAMILIES:
         raise UnsupportedRuleError(f"{rule.family} is not score-based")
     scores = tally.scores(rule, None)
     truncated = [scores[tally.winner(rule, k, tb)] for k in k_values]

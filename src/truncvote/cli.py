@@ -120,10 +120,10 @@ def _cmd_winner(args) -> int:
 
 
 def _cmd_truncate(args) -> int:
-    ds = load(args.profile)
-    truncated = [(order[: min(args.k, len(order))], count) for order, count in ds.entries]
     if args.k < 1:
         raise DomainError(f"k must be >= 1, got {args.k}")
+    ds = load(args.profile)
+    truncated = [(order[: min(args.k, len(order))], count) for order, count in ds.entries]
     _emit(
         serialize_classic(ElectionDataset.from_ballots(ds.m, ds.candidate_names, truncated)),
         args.out,
@@ -201,7 +201,7 @@ _MALLOWS_MODES = {
 def _mallows_configs(args) -> list[exp.ExperimentConfig]:
     """One config per (phi, n) cell, phi outer and n inner."""
     rules, tb = _parse_rules(args.rule), _tiebreak(args.tiebreak, args.m)
-    k_values = tuple(args.k or range(1, args.m))  # min-k defaults to 1..m-1
+    k_values = tuple(args.k or range(1, args.m))  # min-k reads every k in 1..m-1
     return [
         exp.ExperimentConfig(
             exp.MallowsSource(args.m, n, phi), rules, k_values, args.trials, args.seed, tb,
@@ -314,10 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(q, mallows=True, ties=False)
     q.set_defaults(func=_cmd_experiment)
 
-    q = mode.add_parser("min-k", help="minimal k with perfect agreement across trials")
-    q.add_argument("--k", type=_parse_int_list, help="defaults to 1:m-1")
+    q = mode.add_parser("min-k", help="minimal k in 1..m-1 with perfect agreement across trials")
     common(q, mallows=True)
-    q.set_defaults(func=_cmd_experiment)
+    q.set_defaults(func=_cmd_experiment, k=None)
 
     q = mode.add_parser("real-sweep", help="success-rate sweep over resampled real data")
     q.add_argument("--data", required=True, help="PrefLib SOC/SOI file")

@@ -133,6 +133,11 @@ class ExperimentConfig:
             raise DomainError("trials must be >= 1")
         if self.base_seed < 0:
             raise DomainError(f"base_seed must be >= 0, got {self.base_seed}")
+        for rule in self.rules:
+            if rule.k is not None:
+                raise DomainError(
+                    f"{rule}: experiment rules take no @k; the depths come from k_values (--k)"
+                )
         if self.ties not in TIE_CONVENTIONS:
             raise DomainError(f"unknown tie convention {self.ties!r}")
         if self.ties == "fail-on-true-tie":
@@ -154,14 +159,13 @@ class ExperimentConfig:
         for rule in (rule for rule in self.rules if rule.family == "psr"):
             for k in depths:
                 try:
-                    _rule_weights(rule.base, rule.width, rule.policy, m, k)
+                    _rule_weights(rule, m, k)
                 except DomainError as err:
                     raise DomainError(f"{rule.at_k(k)}: {err}") from None
         if self.tiebreak is not None and len(self.tiebreak.priority) != m:
             raise DomainError(
                 f"tie-break priority needs m = {m} entries, got {len(self.tiebreak.priority)}"
             )
-        object.__setattr__(self, "rules", tuple(r.at_k(None) for r in self.rules))
 
     @cached_property
     def tb(self) -> TieBreak:
@@ -285,7 +289,7 @@ def _ratio_columns(ratios: Sequence[Ratio]) -> dict:
 def run_ratio(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Per-(rule, k) mean and max score ratio; infinities counted, not averaged."""
     for rule in cfg.rules:
-        if rule.family in ("rp", "stv"):
+        if rule.family not in SCORED_FAMILIES:
             raise DomainError(f"{rule.family} is not score-based; no ratio experiment")
     if isinstance(cfg.source, PreflibSource):
         raise DomainError("score-ratio experiments need complete profiles")
@@ -331,16 +335,12 @@ def sweep_real_data(
     ]
 
 
-def write_csv(rows: Sequence[dict], destination, columns: Sequence[str] | None = None) -> None:
+def write_csv(rows: Sequence[dict], destination, columns: Sequence[str]) -> None:
     """UTF-8, LF-terminated, RFC-4180-style CSV; header always written.
 
     The full text is rendered before any I/O, so a failure never leaves a
     partial file behind.
     """
-    if columns is None:
-        if not rows:
-            raise DomainError("empty row set needs explicit columns")
-        columns = list(rows[0].keys())
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)

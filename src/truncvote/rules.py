@@ -1,9 +1,10 @@
 """Voting rules in complete and top-k form.
 
 Positional scoring rules (Borda, Harmonic, k'-approval), Copeland, Maximin,
-Ranked Pairs, and STV with ballot exhaustion. Ties are resolved everywhere
-by a single explicit priority permutation (see
-:class:`truncvote.ballots.TieBreak`).
+Ranked Pairs, and STV with ballot exhaustion. A :class:`RuleId` names one,
+and its constructor is the one rule check; :func:`parse_rule` only reads
+the rule-string grammar. Ties are resolved everywhere by a single explicit
+priority permutation (see :class:`truncvote.ballots.TieBreak`).
 
 :func:`apply_rule` computes winners from the exact integer counts of
 :class:`truncvote.tally.IntegerTally`. The score functions here
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -197,37 +199,48 @@ def stv_winner(profile: Profile | TopKProfile, tb: TieBreak) -> int:
 
 
 _PSR_BASES = ("borda", "harmonic", "approval")
-_FAMILIES = ("psr", "copeland", "maximin", "rp", "stv")
+_RULE_NAMES = (*_PSR_BASES, "copeland", "maximin", "rp", "stv")
 
 
 @dataclass(frozen=True)
 class RuleId:
-    """A voting rule, optionally in top-k form.
+    """A voting rule by name, optionally in top-k form; the one rule check.
 
-    ``k is None`` means the complete-information rule. ``policy`` is the
-    completion policy for top-k PSRs (ignored by the other families).
+    ``name`` is a scoring base (borda, harmonic, approval) or an order rule
+    (copeland, maximin, rp, stv); ``width`` is k' of approval, else None.
+    ``k is None`` means the complete-information rule. ``policy`` is a
+    scoring rule's completion policy ("zero" unless given), else None.
     """
 
-    family: str
-    base: str | None = None
+    name: str
     width: int | None = None  # k' for approval
     k: int | None = None
-    policy: str = "zero"
+    policy: str | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise RuleParseError(f"unknown rule family {self.family!r}")
-        if self.family == "psr":
-            if self.base not in _PSR_BASES:
-                raise RuleParseError(f"unknown scoring rule {self.base!r}")
-            if (self.base == "approval") != (self.width is not None):
-                raise RuleParseError("approval rules need a width, others must not have one")
-        elif self.base is not None or self.width is not None:
-            raise RuleParseError(f"{self.family} takes no base vector")
-        if self.policy not in ("zero", "avg"):
-            raise RuleParseError(f"unknown completion policy {self.policy!r}")
+        if self.name not in _RULE_NAMES:
+            raise RuleParseError(f"unknown rule {self.name!r}")
+        if self.name in _PSR_BASES:
+            if self.name != "approval":
+                if self.width is not None:
+                    raise RuleParseError(f"{self.name} takes no width")
+            elif self.width is None:
+                raise RuleParseError("approval needs a width, e.g. approval2")
+            elif self.width < 1:
+                raise RuleParseError(f"approval width must be >= 1, got {self.width}")
+            if self.policy is None:
+                object.__setattr__(self, "policy", "zero")
+            elif self.policy not in ("zero", "avg"):
+                raise RuleParseError(f"unknown completion policy {self.policy!r}")
+        elif self.width is not None or self.policy is not None:
+            raise RuleParseError(f"{self.name} takes no width or completion policy")
         if self.k is not None and self.k < 1:
-            raise RuleParseError("k must be >= 1")
+            raise RuleParseError(f"k must be >= 1, got {self.k}")
+
+    @cached_property  # read per (rule, k) in every trial
+    def family(self) -> str:
+        """"psr" for the scoring bases, else the name."""
+        return "psr" if self.name in _PSR_BASES else self.name
 
     @property
     def label(self) -> str:
@@ -238,10 +251,9 @@ class RuleId:
         return self._name("" if self.k is None else f"@k={self.k}")
 
     def _name(self, at_k: str) -> str:
-        if self.family != "psr":
-            return self.family + at_k
-        name = f"approval{self.width}" if self.base == "approval" else self.base
-        return f"{name}{at_k}:{self.policy}"
+        width = "" if self.width is None else str(self.width)
+        policy = "" if self.policy is None else f":{self.policy}"
+        return f"{self.name}{width}{at_k}{policy}"
 
     def at_k(self, k: int | None) -> "RuleId":
         return replace(self, k=k)
@@ -253,7 +265,7 @@ _RULE_RE = re.compile(
 
 
 def parse_rule(text: str) -> RuleId:
-    """Parse the canonical rule syntax.
+    """Parse the canonical rule syntax; :class:`RuleId` checks the parts.
 
     Examples: ``borda``, ``borda@k=2:avg``, ``harmonic:zero``, ``approval3``,
     ``plurality``, ``copeland@k=2``, ``maximin``, ``rp@k=3``, ``stv@k=2``.
@@ -261,33 +273,21 @@ def parse_rule(text: str) -> RuleId:
     match = _RULE_RE.fullmatch(text.strip())
     if not match:
         raise RuleParseError(f"cannot parse rule string {text!r}")
-    name = match.group("name")
-    width = int(match.group("width")) if match.group("width") else None
-    k = int(match.group("k")) if match.group("k") else None
-    policy = match.group("policy")
+    name, width, k, policy = match.group("name", "width", "k", "policy")
     if name == "plurality":
         if width is not None:
             raise RuleParseError("plurality takes no width")
-        name, width = "approval", 1
-    if name in _PSR_BASES:
-        if name == "approval" and width is None:
-            raise RuleParseError("approval needs a width, e.g. approval2")
-        if name != "approval" and width is not None:
-            raise RuleParseError(f"{name} takes no width")
-        return RuleId("psr", base=name, width=width, k=k, policy=policy or "zero")
-    if name in ("copeland", "maximin", "rp", "stv"):
-        if width is not None or policy is not None:
-            raise RuleParseError(f"{name} takes no width or completion policy")
-        return RuleId(name, k=k)
-    raise RuleParseError(f"unknown rule {name!r}")
+        name, width = "approval", "1"
+    width, k = (None if digits is None else int(digits) for digits in (width, k))
+    return RuleId(name, width, k, policy)
 
 
 def scoring_vector(rule: RuleId, m: int) -> ScoringVector:
     if rule.family != "psr":
         raise DomainError(f"{rule} is not a positional scoring rule")
-    if rule.base == "borda":
+    if rule.name == "borda":
         return borda_vector(m)
-    if rule.base == "harmonic":
+    if rule.name == "harmonic":
         return harmonic_vector(m)
     return approval_vector(m, rule.width)  # type: ignore[arg-type]
 

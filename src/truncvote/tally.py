@@ -58,15 +58,13 @@ def _scaled_head(head: Sequence[Fraction], s_star: Fraction) -> tuple[int, tuple
 
 
 @lru_cache(maxsize=256)
-def _rule_weights(
-    base: str, width: int | None, policy: str, m: int, k: int | None
-) -> tuple[int, tuple[int, ...]]:
+def _rule_weights(rule: RuleId, m: int, k: int | None) -> tuple[int, tuple[int, ...]]:
     """Scaled completion score and head of a PSR at k (the whole vector and
     s_star = 0 when k is None), computed once per rule and k."""
-    vector = scoring_vector(RuleId("psr", base=base, width=width, policy=policy), m)
+    vector = scoring_vector(rule, m)
     if k is None:
         return _scaled_head(vector, Fraction(0))
-    return _scaled_head(vector[:k], completion_score(vector, k, policy))
+    return _scaled_head(vector[:k], completion_score(vector, k, rule.policy))
 
 
 class IntegerTally:
@@ -147,7 +145,7 @@ class IntegerTally:
         m = self.m
         if rule.family == "psr":
             depth = None if level == m else level
-            return self._psr(*_rule_weights(rule.base, rule.width, rule.policy, m, depth))
+            return self._psr(*_rule_weights(rule, m, depth))
         counts = self._dominance[level - 1]
         if rule.family == "copeland":
             return [

@@ -57,6 +57,22 @@ def test_winner_bad_rule_exits_2(capsys, example1_soc):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("rule, message", [
+    ("approval0", "approval width must be >= 1, got 0"),
+    ("borda@k=0", "k must be >= 1, got 0"),
+    ("copeland:zero", "copeland takes no width or completion policy"),
+])
+def test_bad_rule_strings_exit_2(capsys, example1_soc, rule, message):
+    code, out, err = run(capsys, "winner", "--rule", rule, "--profile", str(example1_soc))
+    assert code == 2 and out == "" and message in err
+
+
+def test_empty_rule_list_exits_2(capsys):
+    code, out, err = run(capsys, "experiment", "success", "--rule", ",", "--m", "4", "--k", "1",
+                         "--n", "10", "--phi", "0.5", "--trials", "2", "--seed", "1")
+    assert code == 2 and out == "" and "no rules given" in err
+
+
 def test_winner_domain_error_exits_1(capsys, example1_soc):
     # tie-break priority of the wrong length is a domain error, not usage
     code, _, err = run(capsys, "winner", "--rule", "borda", "--profile", str(example1_soc),
@@ -200,6 +216,18 @@ def test_package_imports_no_test_dependency():
 def test_adversarial_copeland_reports_inf(capsys):
     code, out, _ = run(capsys, "adversarial", "--rule", "copeland", "--m", "5", "--k", "2")
     assert code == 0 and "ratio=inf" in out
+
+
+def test_truncate_rejects_k_below_1(capsys, example1_soc):
+    code, out, err = run(capsys, "truncate", "--profile", str(example1_soc), "--k", "0")
+    assert code == 1 and out == "" and "k must be >= 1, got 0" in err
+
+
+def test_parse_check_rejects_a_malformed_ballot(capsys, tmp_path):
+    path = tmp_path / "bad.soc"
+    path.write_text("2\n1,a\n2,b\n1,1,1\n1,1,x\n", encoding="utf-8")
+    code, out, err = run(capsys, "parse-check", str(path))
+    assert code == 2 and out == "" and "line 5: malformed ballot" in err
 
 
 def test_truncate_command(capsys, example1_soc, tmp_path):
@@ -362,10 +390,23 @@ def test_experiment_ratio_and_min_k_grid_over_n(capsys, mode, fn, columns, k):
     ("min-k", exp.min_k_search, exp.MIN_K_COLUMNS),
 ])
 def test_experiment_single_cell_is_one_config(capsys, mode, fn, columns):
-    code, out, _ = run(capsys, "experiment", mode, *MALLOWS, "--k", "1,2,3",
-                       "--phi", "0.9", "--n", "25")
+    k = () if mode == "min-k" else ("--k", "1,2,3")  # min-k reads every k in 1..m-1
+    code, out, _ = run(capsys, "experiment", mode, *MALLOWS, *k, "--phi", "0.9", "--n", "25")
     assert code == 0
     assert out == expected_csv(fn, columns, [(0.9, 25)])
+
+
+def test_experiment_min_k_takes_no_k(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["experiment", "min-k", *MALLOWS, "--k", "1,2", "--phi", "0.9", "--n", "25"])
+    assert stop.value.code == 2 and "--k" in capsys.readouterr().err
+
+
+def test_experiment_rule_with_k_exits_1(capsys):
+    code, out, err = run(capsys, "experiment", "success", "--rule", "borda@k=2", "--m", "4",
+                         "--k", "1,3", "--n", "10", "--phi", "0.5", "--trials", "2", "--seed", "1")
+    assert code == 1 and out == ""
+    assert "borda@k=2:zero: experiment rules take no @k" in err and "--k" in err
 
 
 SUCCESS_CELL = ("experiment", "success", "--rule", "borda", "--m", "4", "--trials", "2",

@@ -62,9 +62,9 @@ def test_config_validation(example1):
         ExperimentConfig(FixedSource(example1), (parse_rule("borda"),), (1,), 3, -1)
 
 
-def test_config_strips_k_from_rules(example1):
-    cfg = _fixed_cfg(example1, ["copeland@k=2"], [1])
-    assert cfg.rules[0].k is None
+def test_config_rejects_rules_with_k(example1):
+    with pytest.raises(DomainError, match=r"copeland@k=2: .*k_values"):
+        _fixed_cfg(example1, ["copeland@k=2"], [1])
 
 
 def test_default_tiebreak_is_built_once(example1):
@@ -390,8 +390,6 @@ def test_write_csv_empty_rows_need_columns():
     buf = io.StringIO()
     write_csv([], buf, MIN_K_COLUMNS)
     assert buf.getvalue() == ",".join(MIN_K_COLUMNS) + "\n"
-    with pytest.raises(DomainError):
-        write_csv([], io.StringIO())
 
 
 def test_mallows_source_rejects_empty_electorate():

@@ -76,6 +76,41 @@ def test_out_of_range_and_duplicate_candidates():
         parse_preflib("2\n1,a\n2,b\n1,1,1\n1,1,1\n")
 
 
+CLASSIC_HEAD = "2\n1,a\n2,b\n"
+
+
+@pytest.mark.parametrize("text, message, line", [
+    (CLASSIC_HEAD + "1,1,1\n1,1,x\n", "malformed ballot '1,x'", 5),
+    (CLASSIC_HEAD + "1,1,1\n1,\n", "empty ballot", 5),
+    (CLASSIC_HEAD + "1,1,1\n5\n", "malformed ballot line '5'", 5),
+    (CLASSIC_HEAD + "1,1,1\nx,1\n", "malformed count 'x'", 5),
+    (CLASSIC_HEAD + "0,0,1\n0,1\n", "ballot count must be positive, got 0", 5),
+    ("x\n1,a\n", "expected candidate count, got 'x'", 1),
+    ("0\n1,1,1\n", "candidate count must be positive", 1),
+    ("2\nx,a\n2,b\n", "malformed candidate line 'x,a'", 2),
+    ("2\n1,a\n1,b\n", "duplicate candidate id 1", 3),
+    ("2\n1,a\n3,b\n1,1,1\n1,1\n", "candidate ids must be exactly 1..2", None),
+    (CLASSIC_HEAD + "1,1\n1,1\n", "expected 'n,sum,unique', got '1,1'", 4),
+    (CLASSIC_HEAD + "1,x,1\n1,1\n", "expected 'n,sum,unique', got '1,x,1'", 4),
+    ("# TITLE: t\n1: 1\n", "missing or malformed '# NUMBER ALTERNATIVES' metadata", None),
+    ("# NUMBER ALTERNATIVES: 2\n", "no ballots found", None),
+    ("# NUMBER ALTERNATIVES: 2\n# NUMBER VOTERS: x\n1: 1,2\n",
+     "malformed '# NUMBER VOTERS' metadata", None),
+], ids=["ballot", "empty_ballot", "separator", "count", "count_zero", "m", "m_zero",
+        "candidate_line", "duplicate_id", "id_range", "header_parts", "header_int",
+        "modern_m", "modern_no_ballots", "modern_voters"])
+def test_malformed_input_names_the_fault_and_line(text, message, line):
+    with pytest.raises(PreflibParseError) as err:
+        parse_preflib(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_dataset_needs_one_name_per_candidate():
+    with pytest.raises(DomainError, match="need one name per candidate"):
+        ElectionDataset.from_ballots(2, ["a"], [((0, 1), 1)])
+
+
 def test_modern_voter_count_checked():
     bad = TOY_MODERN.replace("NUMBER VOTERS: 7", "NUMBER VOTERS: 8")
     with pytest.raises(PreflibParseError, match="voters"):

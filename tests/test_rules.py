@@ -8,6 +8,7 @@ from truncvote import (
     DomainError,
     PairwiseTally,
     Profile,
+    RuleId,
     RuleParseError,
     TieBreak,
     TopKProfile,
@@ -223,9 +224,47 @@ def test_parse_rule_plurality_alias():
 
 
 def test_parse_rule_errors():
-    for bad in ("bogus", "approval", "borda3", "copeland:avg", "rp2", "borda:median", ""):
+    # faults of the grammar itself; RULE_FAULTS below holds those RuleId finds
+    for bad in ("", "Borda", "borda@k", "borda:", "borda@k=2@k=3", "plurality2"):
         with pytest.raises(RuleParseError):
             parse_rule(bad)
+
+
+# each fault has one message, whether the rule comes from a string or is built directly
+RULE_FAULTS = [
+    ("bogus", ("bogus",), "unknown rule 'bogus'"),
+    ("approval", ("approval",), "approval needs a width, e.g. approval2"),
+    ("approval0", ("approval", 0), "approval width must be >= 1, got 0"),
+    ("borda3", ("borda", 3), "borda takes no width"),
+    ("borda:median", ("borda", None, None, "median"), "unknown completion policy 'median'"),
+    ("borda@k=0", ("borda", None, 0), "k must be >= 1, got 0"),
+    ("copeland:zero", ("copeland", None, None, "zero"),
+     "copeland takes no width or completion policy"),
+    ("copeland:avg", ("copeland", None, None, "avg"),
+     "copeland takes no width or completion policy"),
+    ("rp2", ("rp", 2), "rp takes no width or completion policy"),
+]
+
+
+@pytest.mark.parametrize("text, fields, message", RULE_FAULTS, ids=[f[0] for f in RULE_FAULTS])
+def test_rule_faults_fail_alike_from_a_string_and_from_rule_id(text, fields, message):
+    for build in (lambda: parse_rule(text), lambda: RuleId(*fields)):
+        with pytest.raises(RuleParseError) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_rule_id_fields_and_family():
+    texts = ("borda", "harmonic", "approval2", "copeland", "maximin", "rp", "stv")
+    assert {t: parse_rule(t).family for t in texts} == {
+        "borda": "psr", "harmonic": "psr", "approval2": "psr", "copeland": "copeland",
+        "maximin": "maximin", "rp": "rp", "stv": "stv",
+    }
+    assert parse_rule("approval2@k=3:avg") == RuleId("approval", 2, 3, "avg")
+    assert RuleId("borda") == parse_rule("borda:zero") and RuleId("borda").policy == "zero"
+    assert RuleId("stv").policy is None and str(RuleId("stv", k=2)) == "stv@k=2"
+    with pytest.raises(RuleParseError, match="plurality takes no width"):
+        parse_rule("plurality2")
 
 
 def test_scoring_vector_dispatch():

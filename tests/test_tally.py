@@ -375,3 +375,12 @@ def test_chunked_sampling_keeps_the_stream(monkeypatch, m, n):
     after = mallows.make_rng(9)
     after.random(n * (m - 1))
     assert rng.random() == after.random()
+
+
+@pytest.mark.parametrize("rows, counts, message", [
+    (np.zeros((0, 3), dtype=np.int64), [], "a tally needs at least one ballot"),
+    (np.array([[0, 1, 2], [2, 1, 0]]), [2, 0], "ballot counts must be positive"),
+], ids=["no_ballots", "zero_count"])
+def test_tally_rejects_no_ballots_and_non_positive_counts(rows, counts, message):
+    with pytest.raises(DomainError, match=message):
+        IntegerTally(rows, counts)
