@@ -21,7 +21,6 @@ from .bounds import (
     INFINITY,
     AdversarialInstance,
     ConstructionInapplicableError,
-    InfiniteRatio,
     RatioBound,
     UnsupportedRuleError,
     copeland_adversarial,

@@ -6,6 +6,14 @@ truncation is the Fraction of two integer scores from its
 :class:`~truncvote.tally.IntegerTally`. Adversarial profiles are built with
 integer ballot weights by clearing denominators, so attainment checks are
 exact equalities, not tolerances.
+
+A ratio is a ``Fraction`` or :data:`INFINITY`, which is ``math.inf``: the
+Copeland ratio is unbounded, and a price is infinite when the top-k winner's
+complete score is zero. Comparisons with it are exact, since a ``Fraction``
+compares with an infinite float without being converted to a float (so
+``Fraction(10**400) < INFINITY`` holds and raises no ``OverflowError``), and
+``INFINITY > INFINITY`` is false. No code does arithmetic on a ratio before
+:func:`is_infinite` has filtered the infinite ones out.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import perm
+from math import inf, perm
 from typing import Sequence
 
 from .ballots import DomainError, Profile, TieBreak, _check_k
@@ -32,54 +40,22 @@ class ConstructionInapplicableError(ValueError):
     """The pathological construction needs weights that would be negative."""
 
 
-class InfiniteRatio:
-    """Distinct infinity value for unbounded score ratios (not a float)."""
+INFINITY = inf
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "inf"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, InfiniteRatio)
-
-    def __hash__(self) -> int:
-        return hash("truncvote.InfiniteRatio")
-
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, InfiniteRatio)
-
-    def __ge__(self, other) -> bool:
-        return True
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return isinstance(other, InfiniteRatio)
-
-
-INFINITY = InfiniteRatio()
-
-Ratio = Fraction | InfiniteRatio
+Ratio = Fraction | float  # a Fraction, or INFINITY
 
 
 def is_infinite(value: Ratio) -> bool:
-    return isinstance(value, InfiniteRatio)
+    return value == INFINITY
 
 
 @dataclass(frozen=True)
 class RatioBound:
-    lower: Fraction
+    lower: Ratio
     upper: Ratio
 
     def __post_init__(self) -> None:
-        if not is_infinite(self.upper) and self.lower > self.upper:
+        if self.lower > self.upper:
             raise DomainError("lower bound exceeds upper bound")
 
 
@@ -225,8 +201,15 @@ def copeland_adversarial(m: int, k: int) -> AdversarialInstance:
     )
 
 
+def _check_depthless(rule: RuleId) -> None:
+    """Bounds and witnesses read a complete rule at the k they are given."""
+    if rule.k is not None:
+        raise DomainError(f"{rule}: bounds and witnesses take no @k; the depth comes from k (--k)")
+
+
 def rule_bound(rule: RuleId, m: int, k: int) -> RatioBound:
     """The worst-case bounds of a PSR, Maximin or Copeland rule at (m, k)."""
+    _check_depthless(rule)
     if rule.family == "psr":
         vector = scoring_vector(rule, m)
         return psr_bounds(vector, k, completion_score(vector, k, rule.policy))
@@ -239,6 +222,7 @@ def rule_bound(rule: RuleId, m: int, k: int) -> RatioBound:
 
 def rule_adversarial(rule: RuleId, m: int, k: int) -> AdversarialInstance:
     """The witness profile of a PSR, Maximin or Copeland rule at (m, k)."""
+    _check_depthless(rule)
     if rule.family == "psr":
         vector = scoring_vector(rule, m)
         return psr_adversarial(vector, k, completion_score(vector, k, rule.policy))

@@ -14,17 +14,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import Callable
 
 from . import experiments as exp
 from .ballots import DomainError, TieBreak
 from .bounds import (
-    ConstructionInapplicableError,
-    UnsupportedRuleError,
-    is_infinite,
-    price_of_truncation,
-    rule_adversarial,
+    ConstructionInapplicableError, _check_depthless, price_of_truncation, rule_adversarial,
     rule_bound,
 )
 from .mallows import MallowsModel, make_rng, sample_profile
@@ -138,21 +133,18 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _fmt_ratio(value) -> str:
-    return "inf" if is_infinite(value) else str(Fraction(value))
-
-
 def _attained(rule: RuleId, m: int, k: int) -> str:
     """The ratio the adversarial profile attains; empty where no construction applies."""
     try:
         inst = rule_adversarial(rule, m, k)
     except (DomainError, ConstructionInapplicableError):
         return ""
-    return _fmt_ratio(price_of_truncation(inst.profile, rule.at_k(None), k))
+    return str(price_of_truncation(inst.profile, rule, k))
 
 
 def _cmd_bounds(args) -> int:
     rule = parse_rule(args.rule)
+    _check_depthless(rule)  # here, as the grid below skips a cell on DomainError
     if args.csv:
         rows = []
         for m in args.m:
@@ -162,7 +154,7 @@ def _cmd_bounds(args) -> int:
                 except DomainError:  # nor where the rule itself has none at this m
                     continue
                 rows.append({"rule": rule.label, "m": str(m), "k": str(k),
-                             "lower": _fmt_ratio(bound.lower), "upper": _fmt_ratio(bound.upper),
+                             "lower": str(bound.lower), "upper": str(bound.upper),
                              "attained": _attained(rule, m, k) if args.attained else ""})
         _write_rows(rows, ("rule", "m", "k", "lower", "upper", "attained"), args.out)
         return 0
@@ -171,14 +163,14 @@ def _cmd_bounds(args) -> int:
     m, k = args.m[0], args.k[0]
     bound = rule_bound(rule, m, k)
     attained = f" attained={_attained(rule, m, k)}" if args.attained else ""
-    print(f"lower={_fmt_ratio(bound.lower)} upper={_fmt_ratio(bound.upper)}{attained}")
+    print(f"lower={bound.lower} upper={bound.upper}{attained}")
     return 0
 
 
 def _cmd_adversarial(args) -> int:
     rule = parse_rule(args.rule)
     inst = rule_adversarial(rule, args.m, args.k)
-    print(f"x1={inst.x1} x2={inst.x2} k={inst.k} ratio={_fmt_ratio(inst.claimed_ratio)}")
+    print(f"x1={inst.x1} x2={inst.x2} k={inst.k} ratio={inst.claimed_ratio}")
     if args.out:
         p, names = inst.profile, tuple(f"x{i + 1}" for i in range(args.m))
         _emit(serialize_classic(ElectionDataset(p.m, p.ranks, p.counts, names)), args.out)
@@ -333,10 +325,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, RuleParseError, PreflibParseError, FileNotFoundError, OSError) as err:
+    except (UsageError, RuleParseError, PreflibParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (DomainError, UnsupportedRuleError, ConstructionInapplicableError, ValueError) as err:
+    except ValueError as err:  # DomainError and the bounds errors among them
         print(f"error: {err}", file=sys.stderr)
         return 1
 

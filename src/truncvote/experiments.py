@@ -188,9 +188,11 @@ def _success_trial(cfg: ExperimentConfig, t: int) -> tuple[bool, ...]:
     the (possibly incomplete) ballots read to depth m-1.
     """
     tally = cfg.source.tally(trial_rng(cfg.base_seed, t))
-    true = {rule: _true_winner(cfg, tally, rule) for rule in cfg.rules}
+    truths = [_true_winner(cfg, tally, rule) for rule in cfg.rules]
     return tuple(
-        tally.winner(rule, k, cfg.tb) == true[rule] for rule in cfg.rules for k in cfg.k_values
+        tally.winner(rule, k, cfg.tb) == truth
+        for rule, truth in zip(cfg.rules, truths)
+        for k in cfg.k_values
     )
 
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 import pytest
 
@@ -7,7 +7,6 @@ from truncvote import (
     INFINITY,
     ConstructionInapplicableError,
     DomainError,
-    InfiniteRatio,
     Profile,
     RatioBound,
     TieBreak,
@@ -34,22 +33,26 @@ from truncvote.rules import approval_vector, borda_vector, completion_score, har
 F = Fraction
 
 
-def test_infinity_is_a_singleton_and_orders_correctly():
-    assert InfiniteRatio() is INFINITY
-    assert is_infinite(INFINITY) and not is_infinite(F(3))
-    assert INFINITY == InfiniteRatio()
-    assert INFINITY > F(10**9)
-    assert not INFINITY < F(1)
-    assert INFINITY >= INFINITY and INFINITY <= INFINITY
-    assert not INFINITY > INFINITY
+def test_infinity_is_math_inf_and_compares_exactly():
+    assert INFINITY is inf
+    assert is_infinite(INFINITY)
+    assert not is_infinite(F(3)) and not is_infinite(F(10**400))
+    # a Fraction too large for a float compares without being converted to one
+    assert F(10**400) < INFINITY and not F(10**400) >= INFINITY
+    for x in (F(0), F(1, 3), F(10**400), F(-(10**400))):
+        assert x != INFINITY
+    assert INFINITY >= INFINITY and INFINITY <= INFINITY and not INFINITY > INFINITY
     assert max([F(2), INFINITY, F(5)]) is INFINITY
 
 
 def test_ratio_bound_ordering_checked():
     RatioBound(F(1), F(2))
     RatioBound(F(1), INFINITY)
+    RatioBound(INFINITY, INFINITY)  # copeland's
     with pytest.raises(DomainError):
         RatioBound(F(3), F(2))
+    with pytest.raises(DomainError):
+        RatioBound(INFINITY, F(1))
 
 
 def test_borda_zero_bounds_m4_k2():
@@ -208,6 +211,15 @@ def test_rule_dispatch_equals_the_direct_calls():
     assert rule_adversarial(parse_rule("harmonic:avg"), 6, 3) == psr_adversarial(harmonic, 3, avg)
     assert rule_adversarial(parse_rule("maximin"), 6, 3) == maximin_adversarial(6, 3)
     assert rule_adversarial(parse_rule("copeland"), 6, 3) == copeland_adversarial(6, 3)
+
+
+@pytest.mark.parametrize("rule", ["borda@k=2", "maximin@k=1", "copeland@k=3"])
+def test_rule_dispatch_rejects_a_rule_with_k(rule):
+    # the depth is the k argument; a second one in the rule is not ignored
+    with pytest.raises(DomainError, match="take no @k; the depth comes from k"):
+        rule_bound(parse_rule(rule), 6, 3)
+    with pytest.raises(DomainError, match="take no @k; the depth comes from k"):
+        rule_adversarial(parse_rule(rule), 6, 3)
 
 
 @pytest.mark.parametrize("rule", ["rp", "stv"])

@@ -169,6 +169,20 @@ def test_bounds_unsupported_rule_exits_1(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--rule", "borda@k=2", "--m", "5", "--k", "3"),
+    ("bounds", "--rule", "borda@k=2", "--m", "4:6", "--k", "1:3", "--csv", "--attained"),
+    ("bounds", "--rule", "copeland@k=2", "--m", "4", "--k", "5", "--csv"),  # no cell at all
+    ("adversarial", "--rule", "maximin@k=1", "--m", "5", "--k", "3"),
+])
+def test_bounds_and_adversarial_reject_a_rule_with_k(capsys, argv):
+    # the depth comes from --k; the --csv grid's per-cell skip does not hide the fault
+    code, out, err = run(capsys, *argv)
+    rule = str(parse_rule(argv[2]))
+    assert code == 1 and out == ""
+    assert f"{rule}: bounds and witnesses take no @k; the depth comes from k (--k)" in err
+
+
 def test_adversarial_command(capsys, tmp_path):
     out_file = tmp_path / "adv.soc"
     code, out, _ = run(capsys, "adversarial", "--rule", "maximin", "--m", "5", "--k", "2",

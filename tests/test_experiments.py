@@ -13,6 +13,7 @@ from truncvote import (
     PreflibSource,
     Profile,
     TieBreak,
+    copeland_adversarial,
     min_k_search,
     parse_preflib,
     parse_rule,
@@ -99,6 +100,21 @@ def test_ratio_on_fixed_profile(example1):
     assert rows[0]["mean_ratio"] == f"{131 / 77:.6f}"
     assert rows[1]["mean_ratio"] == "1.000000"
     assert rows[0]["inf_count"] == "0"
+
+
+def test_ratio_counts_infinite_prices_across_workers():
+    # the witness's top-k winner at k = 1, 2 is a Condorcet loser with Copeland
+    # score 0, so every trial's price there is infinite: counted, not averaged,
+    # and the same rows when the infinite ratios come back from the pool
+    cfg = ExperimentConfig(
+        FixedSource(copeland_adversarial(5, 2).profile), (parse_rule("copeland"),), (1, 2, 3),
+        trials=4, base_seed=0,
+    )
+    rows = run_ratio(cfg)
+    assert [(r["k"], r["mean_ratio"], r["max_ratio"], r["inf_count"]) for r in rows] == [
+        ("1", "nan", "nan", "4"), ("2", "nan", "nan", "4"), ("3", "1.000000", "1.000000", "0"),
+    ]
+    assert run_ratio(cfg, workers=2) == rows
 
 
 def test_ratio_rejects_order_based_rules(example1):
