@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import inf, perm
+from math import inf
 from typing import Sequence
 
 from .ballots import DomainError, Profile, TieBreak, _check_k
@@ -142,13 +142,21 @@ def psr_adversarial(s: ScoringVector, k: int, s_star: Fraction) -> AdversarialIn
 
 def maximin_bounds(m: int, k: int) -> RatioBound:
     _check_k(k, m)
+    if k == m - 1:  # exact, see copeland_bounds
+        return RatioBound(Fraction(1), Fraction(1))
     return RatioBound(Fraction(m - k), Fraction(m - k + 1))
 
 
 def copeland_bounds(m: int, k: int) -> RatioBound:
-    """Unbounded at every valid k: the top-k winner can be a Condorcet loser
-    (see :func:`copeland_adversarial`)."""
+    """Unbounded at k <= m-2: the top-k winner can be a Condorcet loser (see
+    :func:`copeland_adversarial`). Exactly 1 at k = m-1, for Maximin too: a
+    top-(m-1) ballot leaves only its last candidate unranked, so the depth-(m-1)
+    dominance table is the pairwise table and the top-(m-1) winner is the
+    complete one. Its score is never 0: a Copeland tie earns half a point,
+    and the top of any ballot has N(a, b) >= 1."""
     _check_k(k, m)
+    if k == m - 1:
+        return RatioBound(Fraction(1), Fraction(1))
     return RatioBound(INFINITY, INFINITY)
 
 
@@ -173,29 +181,20 @@ def maximin_adversarial(m: int, k: int) -> AdversarialInstance:
 
 
 def copeland_adversarial(m: int, k: int) -> AdversarialInstance:
-    """Two votes x1 x2 .. xk plus one vote per ordered k-list of candidates,
-    completed with x2 at position k+1 and x1 last where unranked. x1 becomes
-    a Condorcet loser (Copeland score 0), so the ratio is infinite."""
+    """2k+1 votes x1 x2 .. xm, then for each cyclic rotation of x2..xm one
+    vote of it and one of its reverse, each with x1 last: 2m-1 ballots.
+    x1 is above each y in 2k+1 of the 2k+2m-1 votes, a minority for k <= m-2,
+    so it is a Condorcet loser with Copeland score 0. In the top k it beats
+    each y by 2k+1 to 2k, so it is the top-k Condorcet winner under any
+    priority. A rotation and its reverse tie every pair among x2..xm, so the
+    2k+1 votes make x2 the Condorcet winner, with score m-1. The ratio is
+    infinite."""
     if not 2 <= k <= m - 2:
         raise DomainError(f"construction needs 2 <= k <= m-2, got m={m}, k={k}")
-    # the k-lists avoiding both x1 and x2 must strictly outnumber the seed
-    # votes, or x1/x2 end up pairwise-tied instead of losing/winning; at
-    # (m, k) = (4, 2) there are only 2 such lists, so seed with 1 vote there
-    neither = perm(m - 2, k)
-    seed = 2 if neither > 2 else 1
-
-    def complete(lead: Sequence[int]) -> tuple[int, ...]:
-        vote = list(lead)
-        if 1 not in vote:
-            vote.append(1)
-        vote.extend(sorted(set(range(m)) - set(vote) - {0}))
-        if 0 not in vote:
-            vote.append(0)
-        return tuple(vote)
-
-    ballots = [(complete(range(k)), seed)]
-    for lead in permutations(range(m), k):
-        ballots.append((complete(lead), 1))
+    ballots = [(tuple(range(m)), 2 * k + 1)]
+    for start in range(1, m):
+        rotation = tuple(range(start, m)) + tuple(range(1, start))
+        ballots += [(rotation + (0,), 1), (rotation[::-1] + (0,), 1)]
     return AdversarialInstance(
         Profile.from_ballots(m, ballots), k, x1=0, x2=1, claimed_ratio=INFINITY
     )

@@ -122,8 +122,17 @@ def test_psr_adversarial_negative_beta_rejected():
 
 def test_maximin_bounds():
     assert maximin_bounds(12, 3) == RatioBound(F(9), F(10))
+    assert maximin_bounds(12, 11) == RatioBound(F(1), F(1))
     with pytest.raises(DomainError):
         maximin_bounds(4, 0)
+
+
+def test_copeland_bounds_unbounded_below_m_minus_1():
+    for k in (1, 2, 3):
+        assert copeland_bounds(5, k) == RatioBound(INFINITY, INFINITY)
+    assert copeland_bounds(5, 4) == RatioBound(F(1), F(1))
+    with pytest.raises(DomainError):
+        copeland_bounds(5, 5)
 
 
 def test_maximin_adversarial_m5_k2_exact_profile():
@@ -144,11 +153,37 @@ def test_maximin_adversarial_m5_k2_exact_profile():
 
 def test_copeland_adversarial_m5_k2():
     inst = copeland_adversarial(5, 2)
+    # 2k+1 = 5 votes x1..xm; each rotation of x2..xm and its reverse, x1 last
+    assert dict(inst.profile.entries) == {
+        (0, 1, 2, 3, 4): 5,
+        (1, 2, 3, 4, 0): 1,
+        (4, 3, 2, 1, 0): 1,
+        (2, 3, 4, 1, 0): 1,
+        (1, 4, 3, 2, 0): 1,
+        (3, 4, 1, 2, 0): 1,
+        (2, 1, 4, 3, 0): 1,
+        (4, 1, 2, 3, 0): 1,
+        (3, 2, 1, 4, 0): 1,
+    }
     scores = copeland_scores(pairwise_tally(inst.profile))
     assert scores[0] == 0 and scores[1] == 4
     assert apply_rule(parse_rule("copeland@k=2"), inst.profile) == 0
     assert is_infinite(inst.claimed_ratio)
     assert is_infinite(price_of_truncation(inst.profile, parse_rule("copeland"), 2))
+
+
+@pytest.mark.parametrize("m", range(4, 13))
+def test_copeland_adversarial_has_2m_minus_1_ballots_and_infinite_price(m):
+    rule = parse_rule("copeland")
+    for k in range(2, m - 1):
+        inst = copeland_adversarial(m, k)
+        assert len(inst.profile.counts) == 2 * m - 1
+        assert sum(inst.profile.counts) == 2 * k + 2 * m - 1
+        scores = copeland_scores(pairwise_tally(inst.profile))
+        assert scores[0] == 0 and scores[1] == m - 1
+        for tb in (TieBreak.by_index(m), TieBreak(tuple(reversed(range(m))))):
+            assert apply_rule(rule.at_k(k), inst.profile, tb) == 0
+            assert is_infinite(price_of_truncation(inst.profile, rule, k, tb))
 
 
 def test_adversarial_domain_checks():
@@ -171,15 +206,16 @@ def test_price_uses_complete_scores(example1):
 
 
 def test_random_profiles_never_exceed_upper_bound():
-    # seeded random search: no sampled profile's ratio beats the stated upper bound
+    # seeded random search: no sampled profile's ratio beats the stated upper
+    # bound, and at k = m-1 Copeland's and Maximin's price is exactly their bound 1
     import numpy as np
 
     from truncvote import sample_profile
     from truncvote.mallows import MallowsModel
-    from truncvote.rules import scoring_vector
 
     rng = np.random.default_rng(7)
-    rules = [parse_rule("borda:zero"), parse_rule("harmonic:zero"), parse_rule("maximin")]
+    rules = [parse_rule(name) for name in ("borda:zero", "harmonic:zero", "maximin", "copeland")]
+    exact = 0
     for _ in range(2000):
         m = int(rng.integers(3, 6))
         n = int(rng.integers(1, 21))
@@ -187,12 +223,13 @@ def test_random_profiles_never_exceed_upper_bound():
         profile = sample_profile(MallowsModel(m, phi), n, rng)
         k = int(rng.integers(1, m))
         for rule in rules:
-            if rule.family == "psr":
-                upper = psr_bounds(scoring_vector(rule, m), k, F(0)).upper
-            else:
-                upper = maximin_bounds(m, k).upper
+            bound = rule_bound(rule, m, k)
             ratio = price_of_truncation(profile, rule, k)
-            assert is_infinite(ratio) or ratio <= upper
+            assert is_infinite(ratio) or ratio <= bound.upper
+            if rule.family != "psr" and k == m - 1:
+                assert ratio == bound.lower == bound.upper == 1
+                exact += 1
+    assert exact > 0
 
 
 def test_price_rejects_non_score_rules(example1):

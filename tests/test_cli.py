@@ -106,7 +106,7 @@ def test_bounds_single_line_with_attained(capsys):
     for rule, m, k, line in (
         ("borda", "5", "2", "lower=27/14 upper=27/14 attained=27/14"),
         ("copeland", "5", "2", "lower=inf upper=inf attained=inf"),
-        ("maximin", "5", "4", "lower=1 upper=2 attained="),  # no construction at k = m-1
+        ("maximin", "5", "4", "lower=1 upper=1 attained="),  # exact, no construction at k = m-1
     ):
         code, out, _ = run(capsys, "bounds", "--rule", rule, "--m", m, "--k", k, "--attained")
         assert code == 0 and out == line + "\n", rule
@@ -154,8 +154,8 @@ def test_bounds_copeland_rejects_k_outside_range(capsys):
     ("borda:avg", "078890fc669ecac1c56965de32e1808de26b830437cd85147095475470b6e074"),
     ("harmonic:zero", "0e722957e1f50e22bf87905ebc7c1afe27de82fa116584897b6e0234bce25258"),
     ("harmonic:avg", "986758322c4c9c29ad0f649b098acfec421d8a4574401e70f60f1f79b006f833"),
-    ("maximin", "328270418a55ddad2dd09275bef235ea15bbe6518386f88b54a11809598aa2c5"),
-    ("copeland", "d217558d3af309e7b580ddb5447d1ebab8466caec02d0f231ca28bf08f7ac831"),
+    ("maximin", "77079db26c7089e5eeccb9e47ae3966010280946296eec9b9aba9785eec82f0f"),
+    ("copeland", "e16931139a6805aec90ca20c3b6f5f254905ebff325c9333b9cb7b5896be9b3b"),
 ])
 def test_bounds_witness_output_bytes_are_pinned(capsys, rule, digest):
     # every witness profile of m = 4..8 passes through the ballot check
@@ -200,8 +200,8 @@ def test_adversarial_command(capsys, tmp_path):
     ("harmonic:avg", 3, "aa47260b9c82225f42ef6ee436ac8bd3690d78ff491846bebe7d3ce2066a2e91"),
     ("maximin", 2, "9fabb81f64d04b3215d3d9767a6dbc001cf63a36ac6e33a92c5e55a95ef09189"),
     ("maximin", 3, "8b642660d0f2ad8abbdba44f564503f62c58f1d70cba0e115bac090dd88ea229"),
-    ("copeland", 2, "7183a3ebde46e88bc93d89f797ffbbbfe102e4467c01a99624cb895c5525cc3d"),
-    ("copeland", 3, "b9787d030296316f3a56a8ec615005bca3db2cc407f4f38b9f672b24afe59baf"),
+    ("copeland", 2, "0f223c77e44de61ad174cb03576d38bcd32a63148af02ab53b5e2c47e502fd7a"),
+    ("copeland", 3, "5b2bd0d5beb1350ae8afd70e74960d2b538bf6f1001a1d1428dd113e7fc6d73d"),
 ])
 def test_adversarial_out_file_bytes_are_pinned(capsys, tmp_path, rule, k, digest):
     out_file = tmp_path / "witness.soc"
