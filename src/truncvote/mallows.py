@@ -6,11 +6,12 @@ and Z the usual product normalization; phi = 1 is Impartial Culture.
 Sampling uses repeated insertion (exact), driven by numpy's PCG64 generator
 so that a given seed reproduces the same profiles on every platform;
 :func:`sample_ranks` codes whole blocks of voters at once and decodes only
-the distinct codes, into the tally's rank matrix. A voter's insertion slot
-at each step is the count of that step's cdf values <= its uniform: that
-equals ``bisect_right``, because the cdf is non-decreasing and ends at 1.0,
-and every uniform is below 1. Per-trial sub-streams are derived as
-``default_rng([base_seed, trial_index])``.
+the distinct codes, into the tally's rank matrix; for m! <= ``_CHUNK_ROWS``
+it counts them in one m!-bin table and reads the rows, in code order, from a
+cached decode. A voter's insertion slot at each step is the count of that
+step's cdf values <= its uniform: that equals ``bisect_right``, because the
+cdf is non-decreasing and ends at 1.0, and every uniform is below 1.
+Per-trial sub-streams are derived as ``default_rng([base_seed, trial_index])``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from typing import Sequence
 
 import numpy as np
@@ -149,21 +151,39 @@ def _decode(m: int, codes: np.ndarray) -> np.ndarray:
     return ranks
 
 
+@lru_cache(maxsize=None)
+def _decoded(m: int) -> np.ndarray:
+    """The read-only rank matrix of every code below m!; row i has code i."""
+    ranks = _decode(m, np.arange(factorial(m)))
+    ranks.flags.writeable = False
+    return ranks
+
+
 def sample_ranks(model: MallowsModel, n: int, rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
     """n i.i.d. draws as (ranks, counts): the rank matrix of the distinct
     rankings, each once, and how many voters drew each.
 
     Draws the same uniforms, in the same order, as ``rng.random((n, m - 1))``,
     in blocks of at most ``_CHUNK_ROWS`` voters; each block becomes slot
-    codes, a ``Counter`` merges them, and only the distinct codes are decoded.
+    codes. For m! <= ``_CHUNK_ROWS`` (m <= 7) one m!-bin ``np.bincount`` table
+    counts them, and the rows, in ascending code order, come from
+    :func:`_decoded`. For larger m a ``Counter`` merges each block's ``np.unique``
+    and only the distinct codes are decoded, in first-seen order.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    table = np.zeros(factorial(model.m), dtype=np.int64) if factorial(model.m) <= _CHUNK_ROWS else None
     counter: Counter = Counter()
     for start in range(0, n, _CHUNK_ROWS):
-        uniforms = rng.random((min(_CHUNK_ROWS, n - start), model.m - 1))
-        codes, counts = np.unique(_slot_codes(model, uniforms), return_counts=True)
-        counter.update(dict(zip(codes.tolist(), counts.tolist())))
+        codes = _slot_codes(model, rng.random((min(_CHUNK_ROWS, n - start), model.m - 1)))
+        if table is not None:
+            table += np.bincount(codes, minlength=len(table))
+        else:
+            codes, counts = np.unique(codes, return_counts=True)
+            counter.update(dict(zip(codes.tolist(), counts.tolist())))
+    if table is not None:
+        distinct = np.flatnonzero(table)
+        return _decoded(model.m)[distinct], table[distinct].tolist()
     distinct = np.array(list(counter), dtype=codes.dtype)  # every block's code dtype
     return _decode(model.m, distinct), list(counter.values())
 

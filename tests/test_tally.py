@@ -4,6 +4,7 @@ rank matrix against the one-ballot-at-a-time sampler."""
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -375,6 +376,45 @@ def test_chunked_sampling_keeps_the_stream(monkeypatch, m, n):
     after = mallows.make_rng(9)
     after.random(n * (m - 1))
     assert rng.random() == after.random()
+
+
+def _slot_code(ranks_row) -> int:
+    """The slot code of a rank-matrix row: candidate c was inserted below
+    the candidates 0..c-1 it is ranked under, a digit of radix c + 1."""
+    code = 0
+    for c in range(1, len(ranks_row)):
+        code = code * (c + 1) + sum(ranks_row[d] < ranks_row[c] for d in range(c))
+    return code
+
+
+@pytest.mark.parametrize("m, seed", [(1, 21), (2, 22), (5, 23), (7, 24), (8, 25)])
+def test_block_merge_equals_one_ballot_at_a_time(m, seed):
+    # three blocks, the last of 7 voters: m <= 7 adds each block to the
+    # m!-bin table, m = 8 merges each block's np.unique in a Counter
+    n = 2 * mallows._CHUNK_ROWS + 7
+    model = MallowsModel(m, 0.8)
+    assert sample_profile(model, n, mallows.make_rng(seed)) == _one_by_one(model, n, seed)
+    rng = mallows.make_rng(seed)
+    ranks, counts = mallows.sample_ranks(model, n, rng)
+    assert (np.sort(ranks, axis=1) == np.arange(m)).all()
+    codes = [_slot_code(row) for row in ranks.tolist()]
+    assert len(set(codes)) == len(codes) == len(counts)
+    if factorial(m) <= mallows._CHUNK_ROWS:
+        assert codes == sorted(codes)
+    assert sum(counts) == n
+    after = mallows.make_rng(seed)
+    after.random(n * (m - 1))
+    assert rng.random() == after.random()
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_cached_decode_is_each_codes_decode(m):
+    table = mallows._decoded(m)
+    assert table.shape == (factorial(m), m)
+    for code, row in enumerate(table.tolist()):
+        assert row == mallows._decode(m, np.array([code])).tolist()[0]
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
 
 
 @pytest.mark.parametrize("rows, counts, message", [
