@@ -68,12 +68,8 @@ from .rules import (
     harmonic_vector,
     maximin_scores,
     parse_rule,
-    psr_scores,
     ranked_pairs_winner,
-    rule_scores,
     scoring_vector,
-    stv_winner,
-    topk_psr_scores,
 )
 from .tally import IntegerTally
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .ballots import DomainError, Profile, TieBreak, _check_k
 from .rules import (
-    SCORED_FAMILIES, RuleId, ScoringVector, _validate_head, co_winners, completion_score,
+    SCORED_FAMILIES, RuleId, ScoringVector, _validate_head, completion_score,
     scoring_vector,
 )
 from .tally import IntegerTally
@@ -235,15 +235,15 @@ def rule_adversarial(rule: RuleId, m: int, k: int) -> AdversarialInstance:
 def truncation_prices(
     tally: IntegerTally, rule: RuleId, k_values: Sequence[int], tb: TieBreak
 ) -> list[Ratio]:
-    """Price of truncation at each k, with the complete scores computed once.
+    """Price of truncation at each k: the complete scores once, and the
+    complete and every top-k winner from one ``winners`` call.
 
     Both scores of a ratio come from one integer table under one scale, so
-    the ratio is the same Fraction as the ratio of ``rule_scores`` values."""
+    the ratio is the same Fraction as the ratio of the ``Fraction`` scores."""
     if rule.family not in SCORED_FAMILIES:
         raise UnsupportedRuleError(f"{rule.family} is not score-based")
     scores = tally.scores(rule, None)
-    truncated = [scores[tally.winner(rule, k, tb)] for k in k_values]
-    full = scores[tb.best(co_winners(scores))]
+    full, *truncated = (scores[w] for w in tally.winners(rule, (None, *k_values), tb))
     return [INFINITY if score == 0 else Fraction(full, score) for score in truncated]
 
 

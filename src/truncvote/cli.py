@@ -79,7 +79,11 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _tiebreak(priority: list[int] | None, m: int) -> TieBreak:
-    return TieBreak.by_index(m) if priority is None else TieBreak(tuple(priority))
+    if priority is None:
+        return TieBreak.by_index(m)
+    if len(priority) != m:
+        raise DomainError(f"tie-break priority needs m = {m} entries, got {len(priority)}")
+    return TieBreak(tuple(priority))
 
 
 def _parse_rules(texts: list[str]) -> tuple[RuleId, ...]:

@@ -17,9 +17,10 @@ over one :class:`~truncvote.tally.IntegerTally` per trial: a Mallows sample's
 rank matrix goes straight in (no ranking tuple is built), a real-data trial
 hands over the rows its voters cast of its dataset's rank matrix, and a fixed
 profile hands over the rank matrix its ballot check built. That tally serves
-the ground truth and every (rule, k): no ballot list is encoded, merged,
-sorted, truncated or re-validated, and every score is an exact integer.
-``Fraction`` appears only in the reported score ratios.
+the ground truth and every (rule, k), one ``IntegerTally.winners`` call per
+rule: no ballot list is encoded, merged, sorted, truncated or re-validated,
+and every score is an exact integer. ``Fraction`` appears only in the
+reported score ratios.
 
 A trial succeeds when the top-k winner equals the ground truth, the winner
 the tally gives for k None: the complete rule when every ballot of the trial
@@ -172,28 +173,22 @@ class ExperimentConfig:
         return self.tiebreak or TieBreak.by_index(self.source.m)
 
 
-def _true_winner(cfg: ExperimentConfig, tally: IntegerTally, rule: RuleId) -> int | None:
-    """The ballots' true winner; None when no top-k winner can match it."""
-    if cfg.ties == "priority":
-        return tally.winner(rule, None, cfg.tb)
-    top = co_winners(tally.scores(rule, None))
-    return top[0] if len(top) == 1 else None
-
-
 def _success_trial(cfg: ExperimentConfig, t: int) -> tuple[bool, ...]:
     """Whether each (rule, k)'s top-k winner of trial t is the true winner.
 
     The ground truth is the tally's reading of k None, whatever the source:
     the complete rule when every drawn ballot is complete, else the rule on
-    the (possibly incomplete) ballots read to depth m-1.
+    the (possibly incomplete) ballots read to depth m-1. One ``winners`` call
+    per rule gives the truth and every k.
     """
     tally = cfg.source.tally(trial_rng(cfg.base_seed, t))
-    truths = [_true_winner(cfg, tally, rule) for rule in cfg.rules]
-    return tuple(
-        tally.winner(rule, k, cfg.tb) == truth
-        for rule, truth in zip(cfg.rules, truths)
-        for k in cfg.k_values
-    )
+    hits = []
+    for rule in cfg.rules:
+        truth, *topk = tally.winners(rule, (None, *cfg.k_values), cfg.tb)
+        if cfg.ties == "fail-on-true-tie" and len(co_winners(tally.scores(rule, None))) > 1:
+            truth = None  # no top-k winner matches a tied truth
+        hits.extend(winner == truth for winner in topk)
+    return tuple(hits)
 
 
 def _ratio_trial(cfg: ExperimentConfig, t: int) -> tuple[Ratio, ...]:

@@ -7,11 +7,10 @@ the rule-string grammar. Ties are resolved everywhere by a single explicit
 priority permutation (see :class:`truncvote.ballots.TieBreak`).
 
 :func:`apply_rule` computes winners from the exact integer counts of
-:class:`truncvote.tally.IntegerTally`. The score functions here
-(:func:`psr_scores`, :func:`topk_psr_scores`, :func:`copeland_scores`,
-:func:`maximin_scores`, :func:`rule_scores`) keep ``Fraction`` results: they
-are the reference the integer path is tested against, and the form in which
-bounds and reported ratios are stated.
+:class:`truncvote.tally.IntegerTally`. :func:`copeland_scores` and
+:func:`maximin_scores` keep ``Fraction`` results on a pairwise tally, the
+form in which bounds and reported ratios are stated; the ``Fraction``
+positional scores and STV the tally is tested against live with the tests.
 """
 
 from __future__ import annotations
@@ -29,9 +28,6 @@ from .ballots import (
     TieBreak,
     TopKProfile,
     _check_k,
-    dominance_tally,
-    pairwise_tally,
-    truncate,
 )
 
 ScoringVector = tuple[Fraction, ...]
@@ -89,33 +85,6 @@ def _validate_head(head: Sequence[Fraction], s_star: Fraction) -> None:
 # scores
 
 
-def psr_scores(profile: Profile, vector: ScoringVector) -> ScoreTable:
-    if len(vector) != profile.m:
-        raise DomainError("scoring vector length must equal m")
-    _validate_head(vector, Fraction(0))
-    scores = [Fraction(0)] * profile.m
-    for order, weight in profile.entries:
-        for pos, c in enumerate(order):
-            scores[c] += vector[pos] * weight
-    return scores
-
-
-def topk_psr_scores(topk: TopKProfile, head: Sequence[Fraction], s_star: Fraction) -> ScoreTable:
-    """Top-k PSR scores; every unranked candidate gets s_star per ballot.
-
-    Ballots shorter than k give s_star to all of their unranked candidates.
-    """
-    if len(head) != topk.k:
-        raise DomainError("head length must equal the profile's k")
-    _validate_head(head, s_star)
-    n = topk.n
-    scores = [s_star * n for _ in range(topk.m)]
-    for order, weight in topk.entries:
-        for pos, c in enumerate(order):
-            scores[c] += (head[pos] - s_star) * weight
-    return scores
-
-
 def copeland_scores(tally: PairwiseTally) -> ScoreTable:
     """Pairwise wins plus half a point per pairwise tie.
 
@@ -161,37 +130,22 @@ def ranked_pairs_winner(tally: PairwiseTally, tb: TieBreak) -> int:
     Bit d of ``reach[c]`` is set exactly when c reaches d through locked
     pairs, so locking a over b closes a cycle exactly when ``reach[b]`` has
     bit a; otherwise every c whose ``reach[c]`` has bit a gains ``reach[b]``.
+    Locking stops once m-1 candidates are beaten: a later pair beating the
+    last one would leave every candidate beaten, which needs a locked cycle.
     """
-    counts, order = tally.counts, tb.priority
+    counts, order, m = tally.counts, tb.priority, tally.m
     pairs = [(a, b) for a in order for b in order if a != b]
     pairs.sort(key=lambda p: -counts[p[0]][p[1]])  # stable: ties keep priority order
-    reach = [1 << c for c in range(tally.m)]
-    beaten = 0
+    reach = [1 << c for c in range(m)]
+    beaten, losers = 0, 0
     for a, b in pairs:
+        if losers == m - 1:
+            break
         if not reach[b] >> a & 1:
             reach = [row | reach[b] if row >> a & 1 else row for row in reach]
+            losers += not beaten >> b & 1
             beaten |= 1 << b
     return next(c for c in order if not beaten >> c & 1)
-
-
-def stv_winner(profile: Profile | TopKProfile, tb: TieBreak) -> int:
-    """Eliminate the lowest current-top count until one candidate remains.
-
-    Ballots whose ranked candidates are all eliminated are exhausted and
-    ignored. Ties eliminate the lowest-priority candidate.
-    """
-    active = set(range(profile.m))
-    entries = profile.entries  # decoded once, not once per round
-    while len(active) > 1:
-        counts = {c: 0 for c in active}
-        for order, weight in entries:
-            for c in order:
-                if c in active:
-                    counts[c] += weight
-                    break
-        least = min(counts.values())
-        active.remove(tb.worst(c for c in active if counts[c] == least))
-    return active.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -307,32 +261,6 @@ def _check_input(rule: RuleId, profile: Profile | TopKProfile) -> None:
         return
     if isinstance(profile, TopKProfile) and profile.k != rule.k:
         raise DomainError(f"profile has k={profile.k}, rule wants k={rule.k}")
-
-
-def rule_scores(rule: RuleId, profile: Profile | TopKProfile) -> ScoreTable:
-    """Score table of a score-based rule (PSR, Copeland, Maximin).
-
-    Accepts the same profiles as :func:`apply_rule`; the rule's winner is
-    the highest-priority candidate of ``co_winners(rule_scores(...))``.
-    """
-    if rule.family not in SCORED_FAMILIES:
-        raise DomainError(f"{rule.family} has no score table")
-    m = profile.m
-    _check_input(rule, profile)
-    if rule.k is None:
-        if rule.family == "psr":
-            return psr_scores(profile, scoring_vector(rule, m))
-        tally = pairwise_tally(profile)
-    else:
-        topk = truncate(profile, rule.k) if isinstance(profile, Profile) else profile
-        if rule.family == "psr":
-            vector = scoring_vector(rule, m)
-            s_star = completion_score(vector, rule.k, rule.policy)
-            return topk_psr_scores(topk, vector[: rule.k], s_star)
-        tally = dominance_tally(topk)
-    if rule.family == "copeland":
-        return copeland_scores(tally)
-    return maximin_scores(tally)
 
 
 def apply_rule(rule: RuleId, profile: Profile | TopKProfile, tb: TieBreak | None = None) -> int:

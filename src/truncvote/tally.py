@@ -4,28 +4,32 @@ An :class:`IntegerTally` is built once per ballot list, complete or
 prefix/SOI, from its rank matrix and counts as they are: those of a
 :class:`~truncvote.ballots.BallotList`, the rows a real-data trial draws of
 its dataset's, or the Mallows sampler's
-(:func:`truncvote.mallows.sample_ranks`). It holds two count tables:
+(:func:`truncvote.mallows.sample_ranks`). It holds two count tables, as
+numpy arrays:
 
-- the position counts ``C[c][p]``: total weight of the ballots that rank
+- the position counts ``C[c, p]``: total weight of the ballots that rank
   candidate c at position p (0-based, p < m);
-- the cumulative dominance tensor ``D[k-1][a][b]`` for k = 1..m: total
+- the cumulative dominance tensor ``D[k-1, a, b]`` for k = 1..m: total
   weight of the ballots whose top-k prefix ranks a above b or ranks a and
   not b. ``D[k-1]`` is ``dominance_tally(effective_truncate(ballots, k, m))``
   and, on complete ballots, ``D[m-1]`` is ``pairwise_tally``.
 
-Every rule and every k reads these tables: PSR scores are integer sums over
-``C`` with the vector scaled to integers, Copeland, Maximin and Ranked Pairs
-read ``D[k-1]``, and STV runs over the rank matrix. STV eliminates once at
-the deepest level per tie-break priority; a run at depth k shares that run's
-first k rounds and plays only the rounds after them. Scores are Python ints,
-so they are exact; their ratios equal the ratios of the ``Fraction`` scores
-of :mod:`truncvote.rules`, which the tests use as the oracle.
+:meth:`IntegerTally.winners` gives one rule's winner at every requested k
+(None for the ground truth) in one call. PSR scores at all those levels are
+one integer product of the scaled vectors with ``C``; Copeland and Maximin
+read the stacked layers ``D[k-1]``; each level's winner is its top scorer of
+best priority. Ranked Pairs locks the pairs of each ``D[k-1]``, and STV runs
+over the rank matrix: it eliminates once at the deepest level per tie-break
+priority, and a run at depth k shares that run's first k rounds and plays
+only the rounds after them. Scores are exact integers: int64 where an
+overflow check allows, Python ints (object arrays) otherwise. Their ratios
+equal the ratios of the ``Fraction`` reference scores the tests keep.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Sequence
 
@@ -36,7 +40,6 @@ from .rules import (
     SCORED_FAMILIES,
     RuleId,
     _validate_head,
-    co_winners,
     completion_score,
     ranked_pairs_winner,
     scoring_vector,
@@ -45,11 +48,12 @@ from .rules import (
 # counts never exceed the total weight n, so int64 holds every partial sum
 # when n does; above that the tables use Python ints (numpy object arrays)
 _INT64_MAX = 2**63 - 1
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 def _scaled_head(head: Sequence[Fraction], s_star: Fraction) -> tuple[int, tuple[int, ...]]:
     """(L * s_star, [L * (s - s_star) for s in head]), L the lcm of all the
-    denominators; the head checks are those of ``topk_psr_scores``."""
+    denominators, after the checks of ``_validate_head``."""
     _validate_head(head, s_star)
     s_star = Fraction(s_star)
     reduced = [Fraction(s) - s_star for s in head]
@@ -72,11 +76,11 @@ class IntegerTally:
     from its rank matrix (``BallotList.ranks``, one row per distinct ballot)
     and each row's positive int count.
 
-    ``k=None`` in :meth:`scores` and :meth:`winner` is the ground truth of
-    the ballots: the complete rule when every ballot is complete, else the
-    rule read to depth m-1 (what the ballots allow). An integer k evaluates
-    the top-k rule on the ballots cut to their length-min(k, len) prefix, as
-    ``effective_truncate`` does.
+    A k of None in :meth:`winners` is the ground truth of the ballots: the
+    complete rule when every ballot is complete, else the rule read to depth
+    m-1 (what the ballots allow). An integer k evaluates the top-k rule on
+    the ballots cut to their length-min(k, len) prefix, as
+    ``effective_truncate`` does. :meth:`winner` and :meth:`scores` read one k.
     """
 
     def __init__(self, ranks: np.ndarray, counts: Sequence[int]) -> None:
@@ -98,9 +102,9 @@ class IntegerTally:
             at_p = (ranks == p) * w[:, None]
             columns.append(at_p.sum(axis=0))
             dominance = dominance + at_p.T @ (ranks > p)
-            layers.append(dominance.tolist())
-        self._positions = np.stack(columns, axis=1).tolist()
-        self._dominance = layers
+            layers.append(dominance)
+        self._positions = np.stack(columns, axis=1)  # C, m x m
+        self._dominance = np.stack(layers)  # D, m x m x m
         # per tie-break priority, the active sets of the deepest STV run
         self._stv_runs: dict[tuple[int, ...], list[list[int]]] = {}
 
@@ -115,8 +119,8 @@ class IntegerTally:
     def pairwise(self, k: int | None = None) -> PairwiseTally:
         """``D[k-1]`` as a tally; ``pairwise_tally`` when k is None and the
         ballots are complete."""
-        counts = self._dominance[self._level(k) - 1]
-        return PairwiseTally(self.m, self.n, tuple(tuple(row) for row in counts))
+        counts = self._dominance[self._level(k) - 1].tolist()
+        return PairwiseTally(self.m, self.n, tuple(map(tuple, counts)))
 
     def psr(self, head: Sequence[Fraction], s_star: Fraction = Fraction(0)) -> list[int]:
         """PSR scores scaled to integers: every ballot gives head[p] to its
@@ -125,47 +129,70 @@ class IntegerTally:
         head and s_star, so score ratios are exact."""
         if not 1 <= len(head) <= self.m:
             raise DomainError(f"head length must be in [1, {self.m}], got {len(head)}")
-        return self._psr(*_scaled_head(head, s_star))
-
-    def _psr(self, base: int, steps: Sequence[int]) -> list[int]:
+        base, steps = _scaled_head(head, s_star)
         return [
-            base * self.n + sum(s * row[p] for p, s in enumerate(steps))
-            for row in self._positions
+            base * self.n + sum(s * count for s, count in zip(steps, row))
+            for row in self._positions.tolist()
         ]
 
     def scores(self, rule: RuleId, k: int | None) -> list[int]:
-        """Integer score table of a PSR, Copeland or Maximin rule at k.
-
-        It orders the candidates as ``rule_scores`` does: PSR scores are
-        scaled by a positive integer, Copeland scores are 2·wins + ties.
-        """
-        if rule.family not in SCORED_FAMILIES:
-            raise DomainError(f"{rule.family} has no score table")
-        level = self._level(k)
-        m = self.m
-        if rule.family == "psr":
-            depth = None if level == m else level
-            return self._psr(*_rule_weights(rule, m, depth))
-        counts = self._dominance[level - 1]
-        if rule.family == "copeland":
-            return [
-                sum(1 + (counts[a][b] > counts[b][a]) - (counts[a][b] < counts[b][a])
-                    for b in range(m) if b != a)
-                for a in range(m)
-            ]
-        if m < 2:
-            raise DomainError("maximin needs m >= 2")
-        return [min(counts[a][b] for b in range(m) if b != a) for a in range(m)]
+        """Integer score table of a PSR, Copeland or Maximin rule at k."""
+        return self._scores(rule, [self._level(k)])[0].tolist()
 
     def winner(self, rule: RuleId, k: int | None, tb: TieBreak) -> int:
         """Resolute winner of the rule's family at k; ``rule.k`` is ignored."""
-        if len(tb.priority) != self.m:
+        return self.winners(rule, (k,), tb)[0]
+
+    def winners(self, rule: RuleId, ks: Sequence[int | None], tb: TieBreak) -> list[int]:
+        """Resolute winner of the rule's family at each k of `ks`, in order;
+        ``rule.k`` is ignored. Only the levels `ks` asks for are read, so a
+        call raises what a call per k would."""
+        m = self.m
+        if len(tb.priority) != m:
             raise DomainError("tie-break priority length must equal m")
+        levels = [self._level(k) for k in ks]
         if rule.family in SCORED_FAMILIES:
-            return tb.best(co_winners(self.scores(rule, k)))
+            table = self._scores(rule, levels)
+            # each level's co-winner of lowest priority rank
+            rank = np.where(table == table.max(axis=1, keepdims=True), np.argsort(tb.priority), m)
+            return rank.argmin(axis=1).tolist()
         if rule.family == "rp":
-            return ranked_pairs_winner(self.pairwise(k), tb)
-        return self._stv(self._level(k), tb)
+            return [ranked_pairs_winner(self.pairwise(k), tb) for k in ks]
+        return [self._stv(level, tb) for level in levels]
+
+    def _scores(self, rule: RuleId, levels: Sequence[int]) -> np.ndarray:
+        """Integer score tables of a PSR, Copeland or Maximin rule, one row per
+        level. They order the candidates as the ``Fraction`` scores do: PSR
+        scores are scaled by a positive integer per level, Copeland scores
+        are 2·wins + ties."""
+        if rule.family not in SCORED_FAMILIES:
+            raise DomainError(f"{rule.family} has no score table")
+        m = self.m
+        if rule.family == "psr":
+            weights = [_rule_weights(rule, m, None if level == m else level) for level in levels]
+            # every step is >= 0 and a candidate's position counts sum to n,
+            # so n * (base + sum(steps)) bounds each level's scores
+            peak = max((base + sum(steps) for base, steps in weights), default=0)
+            dtype = np.int64 if self.n * peak <= _INT64_MAX else object
+            bases = np.array([base for base, _ in weights], dtype=dtype)
+            steps = np.array([steps + (0,) * (m - len(steps)) for _, steps in weights], dtype=dtype)
+            return bases[:, None] * self.n + steps.reshape(-1, m) @ self._positions.T
+        counts = self._dominance[np.array(levels, dtype=np.intp) - 1]
+        if rule.family == "copeland":
+            against = counts.transpose(0, 2, 1)
+            return (m - 1) + (counts > against).sum(axis=2) - (counts < against).sum(axis=2)
+        if m < 2:
+            raise DomainError("maximin needs m >= 2")
+        others = np.flatnonzero(~np.eye(m, dtype=bool)).reshape(m, m - 1) % m
+        return counts[:, np.arange(m)[:, None], others].min(axis=2)
+
+    @cached_property
+    def _stv_key(self) -> tuple[int, np.ndarray]:
+        """(M, key): ``key[i, c] = pos[i, c] * M + c``, M the least power of two
+        >= m, so the min of a row's keys over some candidates is the one it
+        ranks first among them, at position ``min // M``, and ``min % M`` is it."""
+        size = 1 << (self.m - 1).bit_length()
+        return size, self._pos.astype(np.int32) * size + np.arange(self.m, dtype=np.int32)
 
     def _stv(self, level: int, tb: TieBreak) -> int:
         """STV on the top-`level` prefixes: eliminate the active candidate with
@@ -190,19 +217,23 @@ class IntegerTally:
 
     def _eliminate(self, level: int, active: list[int], tb: TieBreak) -> list[list[int]]:
         """The active sets of STV on the top-`level` prefixes from `active`,
-        one before each round and the last one the winner alone."""
-        m = self.m
-        rank = np.where(self._pos < level, self._pos, m)
+        one before each round and the last one the winner alone.
+
+        A round is one min over the run's own copy of the key columns of
+        `active`; an eliminated candidate's column becomes the int32 maximum,
+        which no live key reaches."""
+        size, key = self._stv_key
+        keys, columns = key[:, active], active
         history = [active]
         while len(active) > 1:
-            current = rank[:, active]
-            top = current.argmin(axis=1)
-            live = current.min(axis=1) < m
-            counts = np.zeros(len(active), dtype=self._weights.dtype)
-            np.add.at(counts, top[live], self._weights[live])
-            tally = counts.tolist()
+            top = keys.min(axis=1)
+            live = top < level * size
+            counts = np.zeros(self.m, dtype=self._weights.dtype)
+            np.add.at(counts, top[live] % size, self._weights[live])
+            tally = counts[active].tolist()
             least = min(tally)
             loser = tb.worst(c for c, count in zip(active, tally) if count == least)
+            keys[:, columns.index(loser)] = _INT32_MAX
             active = [c for c in active if c != loser]
             history.append(active)
         return history

@@ -74,10 +74,22 @@ def test_empty_rule_list_exits_2(capsys):
 
 
 def test_winner_domain_error_exits_1(capsys, example1_soc):
-    # tie-break priority of the wrong length is a domain error, not usage
-    code, _, err = run(capsys, "winner", "--rule", "borda", "--profile", str(example1_soc),
-                       "--tiebreak", "0,1,2")
-    assert code == 1 and "error" in err
+    # tie-break priority of the wrong length is a domain error, not usage;
+    # its length is named before its entries are checked
+    for priority in ("0,1,2", "3,2,1"):
+        code, out, err = run(capsys, "winner", "--rule", "borda", "--profile", str(example1_soc),
+                             "--tiebreak", priority)
+        assert code == 1 and out == ""
+        assert "tie-break priority needs m = 4 entries, got 3" in err, priority
+
+
+def test_experiment_tiebreak_of_the_wrong_length_exits_1(capsys):
+    for priority in ("0,1,2", "3,2,1"):
+        code, out, err = run(capsys, "experiment", "success", "--rule", "borda", "--m", "4",
+                             "--k", "1", "--n", "10", "--phi", "0.5", "--trials", "2",
+                             "--seed", "1", "--tiebreak", priority)
+        assert code == 1 and out == ""
+        assert "tie-break priority needs m = 4 entries, got 3" in err, priority
 
 
 def test_bounds_single_line(capsys):

@@ -32,7 +32,9 @@ from truncvote.experiments import (
     RATIO_COLUMNS,
     REAL_SWEEP_COLUMNS,
     SUCCESS_COLUMNS,
+    TIE_CONVENTIONS,
 )
+from truncvote.tally import IntegerTally
 
 from conftest import EXAMPLE1_CLASSIC, HARMONIC_SPLIT_BALLOTS, TOY_MODERN
 
@@ -171,6 +173,23 @@ def test_fail_on_true_tie_needs_a_score_table(example1):
                 ties="fail-on-true-tie")
     with pytest.raises(DomainError):
         ExperimentConfig(FixedSource(example1), (parse_rule("borda"),), (1,), 1, 0, ties="bogus")
+
+
+@pytest.mark.parametrize("ties", TIE_CONVENTIONS)
+def test_a_trial_makes_one_winners_call_per_rule(monkeypatch, ties):
+    # the truth and every k of a rule come from one call, not one per (rule, k)
+    calls = []
+    winners = IntegerTally.winners
+    monkeypatch.setattr(IntegerTally, "winners", lambda tally, rule, ks, tb: (
+        calls.append((rule, tuple(ks))) or winners(tally, rule, ks, tb)))
+    scored = tuple(parse_rule(r) for r in ("borda:avg", "harmonic:zero", "copeland", "maximin"))
+    rules = scored + (() if ties != "priority" else (parse_rule("rp"), parse_rule("stv")))
+    cfg = ExperimentConfig(MallowsSource(6, 50, 0.8), rules, (1, 2, 3, 5), 1, 0, ties=ties)
+    exp._success_trial(cfg, 0)
+    assert calls == [(rule, (None, 1, 2, 3, 5)) for rule in rules]
+    calls.clear()
+    exp._ratio_trial(ExperimentConfig(MallowsSource(6, 50, 0.8), scored, (2, 4), 1, 0), 0)
+    assert calls == [(rule, (None, 2, 4)) for rule in scored]
 
 
 def test_default_tie_convention_is_priority_byte_for_byte():

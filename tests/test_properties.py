@@ -14,12 +14,11 @@ from truncvote import (
     pairwise_tally,
     parse_rule,
     price_of_truncation,
-    psr_scores,
-    rule_scores,
     truncate,
 )
 from truncvote.mallows import MallowsModel, normalization, pmf
 from truncvote.rules import borda_vector
+from reference_rules import psr_scores, rule_scores
 
 
 @st.composite

@@ -24,15 +24,16 @@ from truncvote import (
     parse_rule,
     price_of_truncation,
     ranked_pairs_winner,
-    rule_scores,
     sample_profile,
-    stv_winner,
-    topk_psr_scores,
     truncate,
 )
 from truncvote import mallows
-from truncvote.rules import psr_scores
+from truncvote.experiments import TIE_CONVENTIONS, ExperimentConfig, _success_trial
+from truncvote.rules import SCORED_FAMILIES
 from truncvote.tally import IntegerTally
+from reference_rules import (
+    psr_scores, ranked_pairs_by_search, rule_scores, stv_winner, topk_psr_scores,
+)
 
 SCORED = ("borda:zero", "borda:avg", "harmonic:zero", "harmonic:avg", "copeland", "maximin")
 
@@ -162,6 +163,91 @@ def test_counts_above_int64_stay_exact():
         _check_against_oracle(tally, rule, None, profile, tb)
     borda = psr_scores(profile, (Fraction(2), Fraction(1), Fraction(0)))
     assert tally.psr((2, 1, 0)) == [int(s) for s in borda]
+
+
+def _reference_winners(m, ballots, rule, tb):
+    """(winners, tied): the reference winner of `rule` at k None and at each
+    k in 1..m-1, and whether the truth has several top scorers; None where
+    the reference rejects the rule at some depth."""
+    if all(len(order) == m for order, _ in ballots):
+        truth = (rule, Profile.from_ballots(m, ballots))
+    else:
+        truth = (rule.at_k(m - 1), effective_truncate(ballots, m - 1, m))
+    winners, tied = [], False
+    for at_k, profile in [truth] + [(rule.at_k(k), effective_truncate(ballots, k, m))
+                                    for k in range(1, m)]:
+        if rule.family == "rp":
+            counts = pairwise_tally(profile) if at_k.k is None else dominance_tally(profile)
+            winners.append(ranked_pairs_by_search(counts, tb))
+        elif rule.family == "stv":
+            winners.append(stv_winner(profile, tb))
+        else:
+            try:
+                top = co_winners(rule_scores(at_k, profile))
+            except DomainError:
+                return None
+            if not winners:  # the truth
+                tied = len(top) > 1
+            winners.append(tb.best(top))
+    return winners, tied
+
+
+class _Replay:
+    """A trial source that hands every trial the tally of the same ballots."""
+
+    def __init__(self, m, ballots):
+        self.m, self.ballots = m, ballots
+
+    def tally(self, rng):
+        return _tally_of(self.m, self.ballots)
+
+
+def _check_winners(m, ballots, tb, width):
+    """One ``winners`` call per rule for k None and 1..m-1 against the
+    reference winners, and a trial's hits under each tie convention against
+    the ones the reference winners give."""
+    tally = _tally_of(m, ballots)
+    ks = (None, *range(1, m))
+    checked = []
+    for rule in _rules(m, width):
+        reference = _reference_winners(m, ballots, rule, tb)
+        if reference is None:
+            with pytest.raises(DomainError):
+                tally.winners(rule, ks, tb)
+            continue
+        assert tally.winners(rule, ks, tb) == reference[0], rule
+        checked.append((rule, reference))
+    for ties in TIE_CONVENTIONS:
+        cases = [(rule, reference) for rule, reference in checked
+                 if ties == "priority" or rule.family in SCORED_FAMILIES]
+        cfg = ExperimentConfig(_Replay(m, ballots), tuple(rule for rule, _ in cases), ks[1:],
+                               1, 0, tb, ties)
+        hits = []
+        for rule, ((truth, *topk), tied) in cases:
+            if ties == "fail-on-true-tie" and tied:
+                truth = None
+            hits += [winner == truth for winner in topk]
+        assert _success_trial(cfg, 0) == tuple(hits), ties
+
+
+@given(elections(complete=False, max_m=12), st.integers(1, 12))
+def test_winners_at_every_depth_equal_the_references(election, width):
+    m, ballots, tb = election
+    _check_winners(m, ballots, tb, min(width, m))
+
+
+def test_winners_beyond_int64_equal_the_references():
+    # counts summing past 2**63: every table, score and STV count is a Python int
+    ballots = (((0, 1, 2, 3, 4), 2**62 + 1), ((1, 2), 2**62), ((2, 0, 4), 2**62 - 5),
+               ((3,), 7), ((4, 3, 2, 1, 0), 3))
+    assert _tally_of(5, ballots)._weights.dtype == object
+    _check_winners(5, ballots, TieBreak((2, 0, 4, 1, 3)), 2)
+    # int64 tables whose harmonic scores, scaled by lcm(1..12), pass 2**63
+    ballots = tuple((tuple(range(c, 12)) + tuple(range(c)), 2**56 + c) for c in range(5))
+    tally = _tally_of(12, ballots)
+    assert tally._weights.dtype == np.int64
+    assert tally._scores(parse_rule("harmonic"), [12]).dtype == object
+    _check_winners(12, ballots, TieBreak(tuple(reversed(range(12)))), 3)
 
 
 def _stv_from_scratch(tally, level, tb):
@@ -306,7 +392,7 @@ def _check_decoded_ranks(model: MallowsModel, n: int, seed: int) -> None:
     sampled = IntegerTally(*mallows.sample_ranks(model, n, mallows.make_rng(seed)))
     profile = _one_by_one(model, n, seed)
     oracle = IntegerTally(profile.ranks, profile.counts)
-    assert sampled.n == oracle.n and sampled._positions == oracle._positions
+    assert sampled.n == oracle.n and np.array_equal(sampled._positions, oracle._positions)
     assert sampled.pairwise(None) == oracle.pairwise(None)
     for k in range(1, m):
         assert sampled.pairwise(k) == oracle.pairwise(k)
