@@ -9,8 +9,9 @@ priority permutation (see :class:`truncvote.ballots.TieBreak`).
 :func:`apply_rule` computes winners from the exact integer counts of
 :class:`truncvote.tally.IntegerTally`. :func:`copeland_scores` and
 :func:`maximin_scores` keep ``Fraction`` results on a pairwise tally, the
-form in which bounds and reported ratios are stated; the ``Fraction``
-positional scores and STV the tally is tested against live with the tests.
+form in which bounds and reported ratios are stated. The ``Fraction``
+positional scores and STV that the tally is checked against are in
+``tests/reference_rules.py``.
 """
 
 from __future__ import annotations
