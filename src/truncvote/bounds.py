@@ -235,15 +235,16 @@ def rule_adversarial(rule: RuleId, m: int, k: int) -> AdversarialInstance:
 def truncation_prices(
     tally: IntegerTally, rule: RuleId, k_values: Sequence[int], tb: TieBreak
 ) -> list[Ratio]:
-    """Price of truncation at each k: the complete scores once, and the
-    complete and every top-k winner from one ``winners`` call.
+    """Price of truncation at each k: the complete scores once, the complete
+    winner's score their max, and every top-k winner from one ``winners`` call.
 
     Both scores of a ratio come from one integer table under one scale, so
     the ratio is the same Fraction as the ratio of the ``Fraction`` scores."""
     if rule.family not in SCORED_FAMILIES:
         raise UnsupportedRuleError(f"{rule.family} is not score-based")
     scores = tally.scores(rule, None)
-    full, *truncated = (scores[w] for w in tally.winners(rule, (None, *k_values), tb))
+    full = max(scores)
+    truncated = [scores[w] for w in tally.winners(rule, k_values, tb)]
     return [INFINITY if score == 0 else Fraction(full, score) for score in truncated]
 
 

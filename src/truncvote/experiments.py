@@ -179,14 +179,18 @@ def _success_trial(cfg: ExperimentConfig, t: int) -> tuple[bool, ...]:
     The ground truth is the tally's reading of k None, whatever the source:
     the complete rule when every drawn ballot is complete, else the rule on
     the (possibly incomplete) ballots read to depth m-1. One ``winners`` call
-    per rule gives the truth and every k.
+    per rule gives every k, and the truth too unless ties fail, when the
+    truth's score table gives it.
     """
     tally = cfg.source.tally(trial_rng(cfg.base_seed, t))
     hits = []
     for rule in cfg.rules:
-        truth, *topk = tally.winners(rule, (None, *cfg.k_values), cfg.tb)
-        if cfg.ties == "fail-on-true-tie" and len(co_winners(tally.scores(rule, None))) > 1:
-            truth = None  # no top-k winner matches a tied truth
+        if cfg.ties == "fail-on-true-tie":
+            top = co_winners(tally.scores(rule, None))
+            truth = top[0] if len(top) == 1 else None  # no top-k winner matches a tied truth
+            topk = tally.winners(rule, cfg.k_values, cfg.tb)
+        else:
+            truth, *topk = tally.winners(rule, (None, *cfg.k_values), cfg.tb)
         hits.extend(winner == truth for winner in topk)
     return tuple(hits)
 

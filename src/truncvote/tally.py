@@ -129,11 +129,7 @@ class IntegerTally:
         head and s_star, so score ratios are exact."""
         if not 1 <= len(head) <= self.m:
             raise DomainError(f"head length must be in [1, {self.m}], got {len(head)}")
-        base, steps = _scaled_head(head, s_star)
-        return [
-            base * self.n + sum(s * count for s, count in zip(steps, row))
-            for row in self._positions.tolist()
-        ]
+        return self._psr([_scaled_head(head, s_star)])[0].tolist()
 
     def scores(self, rule: RuleId, k: int | None) -> list[int]:
         """Integer score table of a PSR, Copeland or Maximin rule at k."""
@@ -169,14 +165,7 @@ class IntegerTally:
             raise DomainError(f"{rule.family} has no score table")
         m = self.m
         if rule.family == "psr":
-            weights = [_rule_weights(rule, m, None if level == m else level) for level in levels]
-            # every step is >= 0 and a candidate's position counts sum to n,
-            # so n * (base + sum(steps)) bounds each level's scores
-            peak = max((base + sum(steps) for base, steps in weights), default=0)
-            dtype = np.int64 if self.n * peak <= _INT64_MAX else object
-            bases = np.array([base for base, _ in weights], dtype=dtype)
-            steps = np.array([steps + (0,) * (m - len(steps)) for _, steps in weights], dtype=dtype)
-            return bases[:, None] * self.n + steps.reshape(-1, m) @ self._positions.T
+            return self._psr([_rule_weights(rule, m, k if k < m else None) for k in levels])
         counts = self._dominance[np.array(levels, dtype=np.intp) - 1]
         if rule.family == "copeland":
             against = counts.transpose(0, 2, 1)
@@ -185,6 +174,18 @@ class IntegerTally:
             raise DomainError("maximin needs m >= 2")
         others = np.flatnonzero(~np.eye(m, dtype=bool)).reshape(m, m - 1) % m
         return counts[:, np.arange(m)[:, None], others].min(axis=2)
+
+    def _psr(self, weights: Sequence[tuple[int, tuple[int, ...]]]) -> np.ndarray:
+        """Integer PSR scores, one row per scaled (base, steps) pair of
+        ``_scaled_head``: ``base * n + steps @ C.T``."""
+        m = self.m
+        # every step is >= 0 and a candidate's position counts sum to n,
+        # so n * (base + sum(steps)) bounds each row's scores
+        peak = max((base + sum(steps) for base, steps in weights), default=0)
+        dtype = np.int64 if self.n * peak <= _INT64_MAX else object
+        bases = np.array([base for base, _ in weights], dtype=dtype)
+        steps = np.array([steps + (0,) * (m - len(steps)) for _, steps in weights], dtype=dtype)
+        return bases[:, None] * self.n + steps.reshape(-1, m) @ self._positions.T
 
     @cached_property
     def _stv_key(self) -> tuple[int, np.ndarray]:

@@ -177,7 +177,7 @@ def test_fail_on_true_tie_needs_a_score_table(example1):
 
 @pytest.mark.parametrize("ties", TIE_CONVENTIONS)
 def test_a_trial_makes_one_winners_call_per_rule(monkeypatch, ties):
-    # the truth and every k of a rule come from one call, not one per (rule, k)
+    # every k of a rule comes from one call, not one per (rule, k)
     calls = []
     winners = IntegerTally.winners
     monkeypatch.setattr(IntegerTally, "winners", lambda tally, rule, ks, tb: (
@@ -186,10 +186,12 @@ def test_a_trial_makes_one_winners_call_per_rule(monkeypatch, ties):
     rules = scored + (() if ties != "priority" else (parse_rule("rp"), parse_rule("stv")))
     cfg = ExperimentConfig(MallowsSource(6, 50, 0.8), rules, (1, 2, 3, 5), 1, 0, ties=ties)
     exp._success_trial(cfg, 0)
-    assert calls == [(rule, (None, 1, 2, 3, 5)) for rule in rules]
+    # under fail-on-true-tie the truth comes from its score table, not winners
+    depths = (None, 1, 2, 3, 5) if ties == "priority" else (1, 2, 3, 5)
+    assert calls == [(rule, depths) for rule in rules]
     calls.clear()
     exp._ratio_trial(ExperimentConfig(MallowsSource(6, 50, 0.8), scored, (2, 4), 1, 0), 0)
-    assert calls == [(rule, (None, 2, 4)) for rule in scored]
+    assert calls == [(rule, (2, 4)) for rule in scored]
 
 
 def test_default_tie_convention_is_priority_byte_for_byte():

@@ -242,6 +242,11 @@ def test_winners_beyond_int64_equal_the_references():
                ((3,), 7), ((4, 3, 2, 1, 0), 3))
     assert _tally_of(5, ballots)._weights.dtype == object
     _check_winners(5, ballots, TieBreak((2, 0, 4, 1, 3)), 2)
+    borda = [0] * 5
+    for order, count in ballots:
+        for p, c in enumerate(order):
+            borda[c] += (4 - p) * count
+    assert _tally_of(5, ballots).psr((4, 3, 2, 1, 0)) == borda
     # int64 tables whose harmonic scores, scaled by lcm(1..12), pass 2**63
     ballots = tuple((tuple(range(c, 12)) + tuple(range(c)), 2**56 + c) for c in range(5))
     tally = _tally_of(12, ballots)
