@@ -68,7 +68,6 @@ from .rules import (
     harmonic_vector,
     maximin_scores,
     parse_rule,
-    ranked_pairs_winner,
     scoring_vector,
 )
 from .tally import IntegerTally

@@ -31,6 +31,12 @@ def _check_k(k: int, m: int) -> None:
         raise DomainError(f"k must be in [1, m-1], got k={k}, m={m}")
 
 
+def _check_priority(priority: Sequence[int], m: int) -> None:
+    """Reject a tie-break priority that does not have one entry per candidate."""
+    if len(priority) != m:
+        raise DomainError(f"tie-break priority needs m = {m} entries, got {len(priority)}")
+
+
 def _validate_permutation(order: Sequence[int], m: int) -> None:
     if len(order) != m or set(order) != set(range(m)):
         raise DomainError(f"not a permutation of 0..{m - 1}: {order!r}")

@@ -17,7 +17,7 @@ import sys
 from typing import Callable
 
 from . import experiments as exp
-from .ballots import DomainError, TieBreak
+from .ballots import DomainError, TieBreak, _check_priority
 from .bounds import (
     ConstructionInapplicableError, _check_depthless, price_of_truncation, rule_adversarial,
     rule_bound,
@@ -81,8 +81,7 @@ def _parse_int_list(text: str) -> list[int]:
 def _tiebreak(priority: list[int] | None, m: int) -> TieBreak:
     if priority is None:
         return TieBreak.by_index(m)
-    if len(priority) != m:
-        raise DomainError(f"tie-break priority needs m = {m} entries, got {len(priority)}")
+    _check_priority(priority, m)
     return TieBreak(tuple(priority))
 
 

@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ballots import DomainError, Profile, TieBreak, _check_k
+from .ballots import DomainError, Profile, TieBreak, _check_k, _check_priority
 from .bounds import Ratio, is_infinite, truncation_prices
 from .mallows import MallowsModel, sample_ranks, trial_rng
 from .preflib import ElectionDataset, _draw
@@ -163,10 +163,8 @@ class ExperimentConfig:
                     _rule_weights(rule, m, k)
                 except DomainError as err:
                     raise DomainError(f"{rule.at_k(k)}: {err}") from None
-        if self.tiebreak is not None and len(self.tiebreak.priority) != m:
-            raise DomainError(
-                f"tie-break priority needs m = {m} entries, got {len(self.tiebreak.priority)}"
-            )
+        if self.tiebreak is not None:
+            _check_priority(self.tiebreak.priority, m)
 
     @cached_property
     def tb(self) -> TieBreak:

@@ -179,7 +179,10 @@ def _parse_modern(lines: list[str]) -> ElectionDataset:
 
 def parse_preflib(data: str | bytes) -> ElectionDataset:
     """Parse classic or modern PrefLib text into a dataset."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as err:
+        raise PreflibParseError(f"not UTF-8 text: {err}") from None
     lines = text.splitlines()
     if any(ln.lstrip().startswith("#") for ln in lines):
         return _parse_modern(lines)

@@ -1,4 +1,4 @@
-"""Voting rules in complete and top-k form.
+"""Voting rules in complete and top-k form: names, vectors and dispatch.
 
 Positional scoring rules (Borda, Harmonic, k'-approval), Copeland, Maximin,
 Ranked Pairs, and STV with ballot exhaustion. A :class:`RuleId` names one,
@@ -6,11 +6,12 @@ and its constructor is the one rule check; :func:`parse_rule` only reads
 the rule-string grammar. Ties are resolved everywhere by a single explicit
 priority permutation (see :class:`truncvote.ballots.TieBreak`).
 
-:func:`apply_rule` computes winners from the exact integer counts of
-:class:`truncvote.tally.IntegerTally`. :func:`copeland_scores` and
-:func:`maximin_scores` keep ``Fraction`` results on a pairwise tally, the
-form in which bounds and reported ratios are stated. The ``Fraction``
-positional scores and STV that the tally is checked against are in
+Every winner, Ranked Pairs and STV included, comes from the exact integer
+counts of :class:`truncvote.tally.IntegerTally`; :func:`apply_rule` asks it
+for one. :func:`copeland_scores` and :func:`maximin_scores` keep
+``Fraction`` results on a pairwise tally, the form in which bounds and
+reported ratios are stated. The ``Fraction`` positional scores, STV and
+graph-search Ranked Pairs that the tally is checked against are in
 ``tests/reference_rules.py``.
 """
 
@@ -117,36 +118,6 @@ def co_winners(scores: Sequence[Fraction]) -> list[int]:
         raise DomainError("empty score table")
     top = max(scores)
     return [c for c, s in enumerate(scores) if s == top]
-
-
-# ---------------------------------------------------------------------------
-# order-based rules
-
-
-def ranked_pairs_winner(tally: PairwiseTally, tb: TieBreak) -> int:
-    """Lock pairs by descending tally, skipping any pair that closes a cycle;
-    the winner is the highest-priority candidate no locked pair beats.
-
-    Equal tallies are ordered lexicographically by (winner, loser) priority.
-    Bit d of ``reach[c]`` is set exactly when c reaches d through locked
-    pairs, so locking a over b closes a cycle exactly when ``reach[b]`` has
-    bit a; otherwise every c whose ``reach[c]`` has bit a gains ``reach[b]``.
-    Locking stops once m-1 candidates are beaten: a later pair beating the
-    last one would leave every candidate beaten, which needs a locked cycle.
-    """
-    counts, order, m = tally.counts, tb.priority, tally.m
-    pairs = [(a, b) for a in order for b in order if a != b]
-    pairs.sort(key=lambda p: -counts[p[0]][p[1]])  # stable: ties keep priority order
-    reach = [1 << c for c in range(m)]
-    beaten, losers = 0, 0
-    for a, b in pairs:
-        if losers == m - 1:
-            break
-        if not reach[b] >> a & 1:
-            reach = [row | reach[b] if row >> a & 1 else row for row in reach]
-            losers += not beaten >> b & 1
-            beaten |= 1 << b
-    return next(c for c in order if not beaten >> c & 1)
 
 
 # ---------------------------------------------------------------------------

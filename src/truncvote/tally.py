@@ -18,12 +18,13 @@ numpy arrays:
 (None for the ground truth) in one call. PSR scores at all those levels are
 one integer product of the scaled vectors with ``C``; Copeland and Maximin
 read the stacked layers ``D[k-1]``; each level's winner is its top scorer of
-best priority. Ranked Pairs locks the pairs of each ``D[k-1]``, and STV runs
-over the rank matrix: it eliminates once at the deepest level per tie-break
-priority, and a run at depth k shares that run's first k rounds and plays
-only the rounds after them. Scores are exact integers: int64 where an
-overflow check allows, Python ints (object arrays) otherwise. Their ratios
-equal the ratios of the ``Fraction`` reference scores the tests keep.
+best priority. Ranked Pairs locks the pairs of the same stacked layers,
+each layer's pairs ordered by one stable argsort. STV runs over the rank
+matrix: a call eliminates once at the deepest level, and a run at depth k
+shares that run's first k rounds and plays only the rounds after them.
+Scores are exact integers: int64 where an overflow check allows, Python
+ints (object arrays) otherwise. Their ratios equal the ratios of the
+``Fraction`` reference scores the tests keep.
 """
 
 from __future__ import annotations
@@ -35,15 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ballots import DomainError, PairwiseTally, TieBreak, _check_k
-from .rules import (
-    SCORED_FAMILIES,
-    RuleId,
-    _validate_head,
-    completion_score,
-    ranked_pairs_winner,
-    scoring_vector,
-)
+from .ballots import DomainError, PairwiseTally, TieBreak, _check_k, _check_priority
+from .rules import SCORED_FAMILIES, RuleId, _validate_head, completion_score, scoring_vector
 
 # counts never exceed the total weight n, so int64 holds every partial sum
 # when n does; above that the tables use Python ints (numpy object arrays)
@@ -69,6 +63,39 @@ def _rule_weights(rule: RuleId, m: int, k: int | None) -> tuple[int, tuple[int, 
     if k is None:
         return _scaled_head(vector, Fraction(0))
     return _scaled_head(vector[:k], completion_score(vector, k, rule.policy))
+
+
+def _ranked_pairs(counts: np.ndarray, tb: TieBreak) -> list[int]:
+    """Ranked Pairs winner of each layer of an (L, m, m) stack of pairwise
+    counts: lock pairs by descending count, skipping any pair that closes a
+    cycle; the winner is the highest-priority candidate no locked pair beats.
+
+    The pairs are listed once in lexicographic (winner, loser) priority
+    order, and a stable sort of each layer's counts keeps that order among
+    equal counts. Bit d of ``reach[c]`` is set exactly when c reaches d
+    through locked pairs, so locking a over b closes a cycle exactly when
+    ``reach[b]`` has bit a; otherwise every c whose ``reach[c]`` has bit a
+    gains ``reach[b]``. Locking stops once m-1 candidates are beaten: a later
+    pair beating the last one would leave every candidate beaten, which needs
+    a locked cycle.
+    """
+    m = counts.shape[1]
+    order = np.array(tb.priority, dtype=np.intp)
+    first, second = (order[i] for i in np.nonzero(~np.eye(m, dtype=bool)))
+    ranked = np.argsort(-counts[:, first, second], axis=1, kind="stable")
+    winners = []
+    for pairs in zip(first[ranked].tolist(), second[ranked].tolist()):
+        reach = [1 << c for c in range(m)]
+        beaten, losers = 0, 0
+        for a, b in zip(*pairs):
+            if losers == m - 1:
+                break
+            if not reach[b] >> a & 1:
+                reach = [row | reach[b] if row >> a & 1 else row for row in reach]
+                losers += not beaten >> b & 1
+                beaten |= 1 << b
+        winners.append(next(c for c in tb.priority if not beaten >> c & 1))
+    return winners
 
 
 class IntegerTally:
@@ -105,8 +132,6 @@ class IntegerTally:
             layers.append(dominance)
         self._positions = np.stack(columns, axis=1)  # C, m x m
         self._dominance = np.stack(layers)  # D, m x m x m
-        # per tie-break priority, the active sets of the deepest STV run
-        self._stv_runs: dict[tuple[int, ...], list[list[int]]] = {}
 
     def _level(self, k: int | None) -> int:
         """The number of leading positions a rule at k reads; for k None, m
@@ -144,8 +169,7 @@ class IntegerTally:
         ``rule.k`` is ignored. Only the levels `ks` asks for are read, so a
         call raises what a call per k would."""
         m = self.m
-        if len(tb.priority) != m:
-            raise DomainError("tie-break priority length must equal m")
+        _check_priority(tb.priority, m)
         levels = [self._level(k) for k in ks]
         if rule.family in SCORED_FAMILIES:
             table = self._scores(rule, levels)
@@ -153,8 +177,11 @@ class IntegerTally:
             rank = np.where(table == table.max(axis=1, keepdims=True), np.argsort(tb.priority), m)
             return rank.argmin(axis=1).tolist()
         if rule.family == "rp":
-            return [ranked_pairs_winner(self.pairwise(k), tb) for k in ks]
-        return [self._stv(level, tb) for level in levels]
+            return _ranked_pairs(self._dominance[np.array(levels, dtype=np.intp) - 1], tb)
+        # STV: the deepest run once, and each shallower level replays from it
+        runs = self._eliminate(self._level(None), list(range(m)), tb)
+        return [runs[-1][0] if level >= m - 1 else self._eliminate(level, runs[level], tb)[-1][0]
+                for level in levels]
 
     def _scores(self, rule: RuleId, levels: Sequence[int]) -> np.ndarray:
         """Integer score tables of a PSR, Copeland or Maximin rule, one row per
@@ -195,30 +222,18 @@ class IntegerTally:
         size = 1 << (self.m - 1).bit_length()
         return size, self._pos.astype(np.int32) * size + np.arange(self.m, dtype=np.int32)
 
-    def _stv(self, level: int, tb: TieBreak) -> int:
-        """STV on the top-`level` prefixes: eliminate the active candidate with
-        the lowest first-choice weight (ties: the lowest priority) until one is
-        left. A ballot ranking no active candidate is exhausted.
-
-        The deepest run (``level = _level(None)``) is made once per priority
-        and its active sets are kept. A shallower run shares its first
-        `level` rounds: after r - 1 < level eliminations each ballot's top
-        active candidate sits at position <= r - 1, which both runs see, and a
-        short ballot exhausts in the same round in both. So a run at `level`
-        starts from the deep run's active set after `level` eliminations and
-        plays only the rounds after it."""
-        runs = self._stv_runs.get(tb.priority)
-        if runs is None:
-            runs = self._stv_runs[tb.priority] = self._eliminate(
-                self._level(None), list(range(self.m)), tb
-            )
-        if level >= self.m - 1:
-            return runs[-1][0]
-        return self._eliminate(level, runs[level], tb)[-1][0]
-
     def _eliminate(self, level: int, active: list[int], tb: TieBreak) -> list[list[int]]:
         """The active sets of STV on the top-`level` prefixes from `active`,
-        one before each round and the last one the winner alone.
+        one before each round and the last one the winner alone: each round
+        eliminates the active candidate with the lowest first-choice weight
+        (ties: the lowest priority), and a ballot ranking no active candidate
+        is exhausted.
+
+        A run at a lower level shares the deepest run's first `level` rounds:
+        after r - 1 < level eliminations each ballot's top active candidate
+        sits at position <= r - 1, which both runs see, and a short ballot
+        exhausts in the same round in both. So it starts from the deep run's
+        active set after `level` eliminations.
 
         A round is one min over the run's own copy of the key columns of
         `active`; an eliminated candidate's column becomes the int32 maximum,

@@ -256,6 +256,13 @@ def test_parse_check_rejects_a_malformed_ballot(capsys, tmp_path):
     assert code == 2 and out == "" and "line 5: malformed ballot" in err
 
 
+def test_parse_check_rejects_a_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "bad.soc"
+    path.write_bytes(b"3\n1,a\xff\n2,b\n3,c\n1,1,1\n1,1,2,3\n")
+    code, out, err = run(capsys, "parse-check", str(path))
+    assert code == 2 and out == "" and "not UTF-8 text" in err
+
+
 def test_truncate_command(capsys, example1_soc, tmp_path):
     out_file = tmp_path / "trunc.soc"
     code, _, _ = run(capsys, "truncate", "--profile", str(example1_soc), "--k", "2",

@@ -69,6 +69,11 @@ def test_declared_count_mismatch():
         parse_preflib(bad)
 
 
+def test_non_utf8_bytes_are_a_parse_error():
+    with pytest.raises(PreflibParseError, match="not UTF-8 text"):
+        parse_preflib(b"3\n1,a\xff\n2,b\n3,c\n1,1,1\n1,1,2,3\n")
+
+
 def test_out_of_range_and_duplicate_candidates():
     with pytest.raises(PreflibParseError, match="out of range"):
         parse_preflib("2\n1,a\n2,b\n1,1,1\n1,1,3\n")

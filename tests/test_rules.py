@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,10 +24,10 @@ from truncvote import (
     maximin_scores,
     pairwise_tally,
     parse_rule,
-    ranked_pairs_winner,
     scoring_vector,
     truncate,
 )
+from truncvote.tally import _ranked_pairs
 from reference_rules import psr_scores, ranked_pairs_by_search, stv_winner, topk_psr_scores
 
 F = Fraction
@@ -103,8 +104,13 @@ def test_copeland_half_point_for_ties():
     assert scores == [F(1, 2), F(1, 2)]
 
 
+def _ranked_pairs_winner(counts, tb):
+    """Ranked Pairs winner of one layer of pairwise counts."""
+    return _ranked_pairs(np.array([counts]), tb)[0]
+
+
 def test_ranked_pairs_on_fixture(example1):
-    assert ranked_pairs_winner(pairwise_tally(example1), TieBreak.by_index(4)) == 3
+    assert _ranked_pairs_winner(pairwise_tally(example1).counts, TieBreak.by_index(4)) == 3
 
 
 def test_ranked_pairs_skips_cycles():
@@ -112,7 +118,7 @@ def test_ranked_pairs_skips_cycles():
     p = Profile.from_ballots(
         3, [((0, 1, 2), 4), ((1, 2, 0), 3), ((2, 0, 1), 2)]
     )
-    assert ranked_pairs_winner(pairwise_tally(p), TieBreak.by_index(3)) == 0
+    assert _ranked_pairs_winner(pairwise_tally(p).counts, TieBreak.by_index(3)) == 0
 
 
 # counts drawn from 0..3, so equal counts, and hence priority-ordered ties, are common
@@ -132,8 +138,7 @@ def _tally(counts):
 @given(rp_cases())
 def test_ranked_pairs_equals_search_oracle(case):
     counts, tb = case
-    tally = _tally(counts)
-    assert ranked_pairs_winner(tally, tb) == ranked_pairs_by_search(tally, tb)
+    assert _ranked_pairs_winner(counts, tb) == ranked_pairs_by_search(_tally(counts), tb)
 
 
 def test_ranked_pairs_equals_search_oracle_on_every_small_tally():
@@ -145,7 +150,7 @@ def test_ranked_pairs_equals_search_oracle_on_every_small_tally():
         tally = _tally(counts)
         for priority in permutations(range(3)):
             tb = TieBreak(priority)
-            assert ranked_pairs_winner(tally, tb) == ranked_pairs_by_search(tally, tb)
+            assert _ranked_pairs_winner(counts, tb) == ranked_pairs_by_search(tally, tb)
 
 
 @given(rp_cases(), st.data())
@@ -156,7 +161,26 @@ def test_ranked_pairs_elects_the_candidate_beating_every_rival(case, data):
     for rival in range(m):
         if rival != winner:
             counts[winner][rival] = counts[rival][winner] + data.draw(st.integers(1, 3))
-    assert ranked_pairs_winner(_tally(counts), tb) == winner
+    assert _ranked_pairs_winner(counts, tb) == winner
+
+
+@given(st.integers(1, 9).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(st.lists(st.integers(0, 3), min_size=m, max_size=m),
+                      min_size=m, max_size=m), min_size=2, max_size=4),
+    st.permutations(range(m)))), st.data())
+def test_ranked_pairs_on_a_stack_of_layers_equals_search_oracle(drawn, data):
+    # one call over several layers; one layer's counts pass 2**63 and differ
+    # only in their last bits, so the stack is an object array of Python ints
+    layers, priority = drawn
+    m, tb = len(priority), TieBreak(tuple(priority))
+    big = data.draw(st.integers(0, len(layers) - 1))
+    layers[big] = [[count + 2**63 for count in row] for row in layers[big]]
+    for layer in layers:
+        for c in range(m):
+            layer[c][c] = 0
+    counts = np.array(layers, dtype=object)
+    expected = [ranked_pairs_by_search(_tally(layer), tb) for layer in layers]
+    assert _ranked_pairs(counts, tb) == expected
 
 
 def test_stv_on_fixture(example1):

@@ -23,7 +23,6 @@ from truncvote import (
     pairwise_tally,
     parse_rule,
     price_of_truncation,
-    ranked_pairs_winner,
     sample_profile,
     truncate,
 )
@@ -81,8 +80,8 @@ def _check_against_oracle(tally, rule, k, profile, tb):
             return
         winner = tally.winner(rule, k, tb)
     if rule.family == "rp":
-        assert winner == ranked_pairs_winner(pairwise_tally(profile) if k is None
-                                             else dominance_tally(profile), tb), (rule, k)
+        assert winner == ranked_pairs_by_search(pairwise_tally(profile) if k is None
+                                                else dominance_tally(profile), tb), (rule, k)
     elif rule.family == "stv":
         assert winner == stv_winner(profile, tb), (rule, k)
     else:
@@ -304,8 +303,8 @@ def test_stv_at_every_depth_equals_the_whole_elimination(drawn):
 
 def test_stv_rounds_are_shared_across_depths(monkeypatch):
     # each STV round breaks its tie for last place with one TieBreak.worst
-    # call: the deepest run plays m-1 rounds and a run at k only the m-1-k
-    # rounds after its own k
+    # call: one winners call over every depth plays the deepest run's m-1
+    # rounds and, for each k, only the m-1-k rounds after its own k
     calls = []
     worst = TieBreak.worst
     monkeypatch.setattr(TieBreak, "worst", lambda tb, cs: calls.append(1) or worst(tb, cs))
@@ -313,8 +312,7 @@ def test_stv_rounds_are_shared_across_depths(monkeypatch):
 
     def rounds(tally, tb):
         calls.clear()
-        for k in (None, *range(1, tally.m)):
-            tally.winner(stv, k, tb)
+        tally.winners(stv, (None, *range(1, tally.m)), tb)
         return len(calls)
 
     complete = sample_profile(MallowsModel(7, 1.0), 200, mallows.make_rng(1))
@@ -351,7 +349,7 @@ def test_k_range_and_complete_rule_checks():
                 tally.winner(parse_rule(rule), k, tb)
         # incomplete ballots: the truth is the rule read to depth m-1
         assert tally.winner(parse_rule(rule), None, tb) == tally.winner(parse_rule(rule), 3, tb)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="tie-break priority needs m = 4 entries, got 3"):
         tally.winner(parse_rule("borda"), 2, TieBreak.by_index(3))
     with pytest.raises(DomainError):
         tally.scores(parse_rule("stv"), 2)
