@@ -6,11 +6,14 @@ merged in trial order, so the worker count never changes the output.
 
 Parallel runs share one process pool that lives as long as the process: the
 first call with ``workers > 1`` starts it, later calls with the same count
-reuse it, and a different count replaces it. Each chunk of trials carries
-its config; a real-data config holds its dataset as a rank matrix, so it
-pickles in under a millisecond. Workers copy the module state of the moment
-the pool starts, so a later change to it (a patched function, say) reaches
-them only after :func:`shutdown_pool`, which also frees the workers.
+reuse it, and a different count replaces it. The workers hold the run's
+dataset from the moment they start, so a real-data task names it instead of
+carrying it, and a run on a different dataset restarts them; a Mallows or
+fixed-profile run keeps whatever pool is running. A run is one map: its whole
+(config, trial) grid is dealt round-robin, one task per worker. Workers copy
+the module state of the moment the pool starts, so a later change to it (a
+patched function, say) reaches them only after :func:`shutdown_pool`, which
+also frees the workers and the dataset they hold.
 
 Every source runs through one trial loop. A source's ``tally(rng)`` hands
 over one :class:`~truncvote.tally.IntegerTally` per trial: a Mallows sample's
@@ -39,7 +42,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import islice, repeat
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -202,40 +206,82 @@ def _ratio_trial(cfg: ExperimentConfig, t: int) -> tuple[Ratio, ...]:
     )
 
 
-# The process's one pool and its worker count; started by the first parallel
-# call, replaced when the count changes or a worker dies.
+# The process's one pool, its worker count and the dataset its workers hold;
+# started by the first parallel call, replaced when the count changes, a run
+# brings another dataset or a worker dies. In a worker, ``_held`` is the
+# dataset that worker holds.
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
+_held: ElectionDataset | None = None
 
 
-def _executor(workers: int) -> ProcessPoolExecutor:
+def _hold(dataset: ElectionDataset | None) -> None:
+    global _held
+    _held = dataset
+
+
+def _held_source(n_star: int) -> PreflibSource:
+    return PreflibSource(_held, n_star)
+
+
+def _reduce_source(source: PreflibSource) -> tuple:
+    """How the pool's queues pickle a real-data source: by name when the
+    workers hold its dataset, else in full. Plain ``pickle`` is untouched."""
+    if source.dataset is _held:
+        return _held_source, (source.n_star,)
+    return PreflibSource, (source.dataset, source.n_star)
+
+
+ForkingPickler.register(PreflibSource, _reduce_source)
+
+
+def _executor(workers: int, dataset: ElectionDataset | None) -> ProcessPoolExecutor:
+    """The pool for a run; `dataset` None keeps whatever dataset is held."""
     global _pool, _pool_workers
-    if _pool is None or _pool_workers != workers:
+    if (_pool is None or _pool_workers != workers
+            or (dataset is not None and dataset is not _held)):
         shutdown_pool()
-        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+        _pool = ProcessPoolExecutor(max_workers=workers, initializer=_hold, initargs=(dataset,))
+        _pool_workers = workers
+        _hold(dataset)
     return _pool
 
 
 def shutdown_pool() -> None:
-    """Stop the workers of parallel runs; the next parallel call starts a
-    fresh pool from the module state of that moment."""
+    """Stop the workers of parallel runs and drop the dataset they hold; the
+    next parallel call starts a fresh pool from the module state of that
+    moment."""
     global _pool
     if _pool is not None:
         _pool.shutdown()
         _pool = None
+    _hold(None)
 
 
-def _map_trials(fn: Callable, cfg: ExperimentConfig, workers: int) -> list:
+def _run_tasks(fn: Callable, tasks: list[tuple[ExperimentConfig, int]]) -> list:
+    return [fn(cfg, t) for cfg, t in tasks]
+
+
+def _map_trials(fn: Callable, cfgs: Sequence[ExperimentConfig], workers: int) -> list[list]:
+    """``fn(cfg, t)`` for every trial of every config: one result list per
+    config, in trial order, whatever the worker count."""
     if workers <= 1:
-        return [fn(cfg, t) for t in range(cfg.trials)]
-    pool = _executor(workers)
+        return [[fn(cfg, t) for t in range(cfg.trials)] for cfg in cfgs]
+    dataset = next(
+        (cfg.source.dataset for cfg in cfgs if isinstance(cfg.source, PreflibSource)), None
+    )
+    pool = _executor(workers, dataset)
+    tasks = [(cfg, t) for cfg in cfgs for t in range(cfg.trials)]
     try:
-        # each chunk of trials is one task, which pickles its config once
-        chunk = max(1, cfg.trials // (workers * 4))
-        return list(pool.map(fn, repeat(cfg), range(cfg.trials), chunksize=chunk))
+        # one task per worker, the (config, trial) grid dealt round-robin
+        parts = list(pool.map(
+            _run_tasks, repeat(fn), [tasks[w::workers] for w in range(workers)]
+        ))
     except BrokenProcessPool:
         shutdown_pool()  # so the next call starts a fresh pool
         raise
+    merged = (parts[i % workers][i // workers] for i in range(len(tasks)))
+    return [list(islice(merged, cfg.trials)) for cfg in cfgs]
 
 
 def _source_fields(source: ProfileSource) -> tuple[str, str]:
@@ -266,12 +312,16 @@ def _rows(cfg: ExperimentConfig, results: list, cell: Callable[[list], list]) ->
     return rows
 
 
-def run_success_rate(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
-    """Winner-agreement rate per (rule, k); rows ready for CSV."""
-    results = _map_trials(_success_trial, cfg, workers)
+def _success_rows(cfg: ExperimentConfig, results: list) -> list[dict]:
     return _rows(cfg, results, lambda by_k: [
         (k, {"rate": f"{sum(hits) / cfg.trials:.4f}"}) for k, hits in by_k
     ])
+
+
+def run_success_rate(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
+    """Winner-agreement rate per (rule, k); rows ready for CSV."""
+    [results] = _map_trials(_success_trial, [cfg], workers)
+    return _success_rows(cfg, results)
 
 
 def _ratio_columns(ratios: Sequence[Ratio]) -> dict:
@@ -292,7 +342,7 @@ def run_ratio(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
             raise DomainError(f"{rule.family} is not score-based; no ratio experiment")
     if isinstance(cfg.source, PreflibSource):
         raise DomainError("score-ratio experiments need complete profiles")
-    results = _map_trials(_ratio_trial, cfg, workers)
+    [results] = _map_trials(_ratio_trial, [cfg], workers)
     return _rows(cfg, results, lambda by_k: [(k, _ratio_columns(r)) for k, r in by_k])
 
 
@@ -302,7 +352,7 @@ def min_k_search(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     m = cfg.source.m
     if tuple(sorted(cfg.k_values)) != tuple(range(1, m)):
         raise DomainError("min-k search needs k_values spanning 1..m-1")
-    results = _map_trials(_success_trial, cfg, workers)
+    [results] = _map_trials(_success_trial, [cfg], workers)
     return _rows(cfg, results, lambda by_k: [
         (None, {"min_k": str(min((k for k, hits in by_k if all(hits)), default=m - 1))})
     ])
@@ -320,17 +370,19 @@ def sweep_real_data(
     ties: str = "priority",
 ) -> list[dict]:
     """Success rate over resampled sub-elections for each (n*, rule, k). Every
-    n* cell's config is built, and so checked, before any trial runs."""
+    n* cell's config is built, and so checked, before any trial runs, and
+    every cell's trials run in one map."""
     configs = [
         ExperimentConfig(
             PreflibSource(ds, n_star), tuple(rules), tuple(k_grid), trials, seed, tiebreak, ties
         )
         for n_star in n_star_grid
     ]
+    results = _map_trials(_success_trial, configs, workers)
     return [
         {column: row["n" if column == "n_star" else column] for column in REAL_SWEEP_COLUMNS}
-        for cfg in configs
-        for row in run_success_rate(cfg, workers)
+        for cfg, cell in zip(configs, results)
+        for row in _success_rows(cfg, cell)
     ]
 
 

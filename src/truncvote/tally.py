@@ -178,9 +178,12 @@ class IntegerTally:
             return rank.argmin(axis=1).tolist()
         if rule.family == "rp":
             return _ranked_pairs(self._dominance[np.array(levels, dtype=np.intp) - 1], tb)
-        # STV: the deepest run once, and each shallower level replays from it
-        runs = self._eliminate(self._level(None), list(range(m)), tb)
-        return [runs[-1][0] if level >= m - 1 else self._eliminate(level, runs[level], tb)[-1][0]
+        # STV: the deepest requested run once, and each shallower level
+        # replays from it; levels m-1 and m elect alike
+        deep = max(levels, default=1)
+        runs = self._eliminate(deep, list(range(m)), tb)
+        return [runs[-1][0] if level >= min(deep, m - 1)
+                else self._eliminate(level, runs[level], tb)[-1][0]
                 for level in levels]
 
     def _scores(self, rule: RuleId, levels: Sequence[int]) -> np.ndarray:

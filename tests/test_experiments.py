@@ -1,6 +1,9 @@
 import io
 import os
+import pickle
 from concurrent.futures.process import BrokenProcessPool
+from itertools import permutations
+from multiprocessing.reduction import ForkingPickler
 
 import pytest
 
@@ -338,7 +341,7 @@ def test_dead_worker_raises_and_the_next_call_starts_a_fresh_pool():
     run_success_rate(cfg, 2)
     broken = exp._pool
     with pytest.raises(BrokenProcessPool):
-        exp._map_trials(_kill_worker, cfg, 2)
+        exp._map_trials(_kill_worker, [cfg], 2)
     assert exp._pool is None
     assert run_success_rate(cfg, 2) == run_success_rate(cfg)
     assert exp._pool is not broken
@@ -360,6 +363,71 @@ def test_parallel_sweeps_never_reuse_a_stale_config():
     assert serial[0] != serial[1]
     for i in (0, 1, 0):
         assert sweep(datasets[i], 2) == serial[i]
+
+
+def _wide_dataset():
+    # every ranking of 7 candidates once: its pickle is about 86 KB
+    names = [f"c{i}" for i in range(7)]
+    return ElectionDataset.from_ballots(7, names, [(order, 1) for order in permutations(range(7))])
+
+
+def test_pool_tasks_name_the_held_dataset(fresh_pool):
+    ds = _wide_dataset()
+    rules = [parse_rule("borda"), parse_rule("stv")]
+    cfg = ExperimentConfig(PreflibSource(ds, 50), tuple(rules), (1, 2), 4, 1)
+    assert len(ForkingPickler.dumps(cfg)) > 4096  # no pool holds ds yet
+
+    def sweep():
+        return sweep_real_data(ds, [20, 50], [1, 2], rules, 4, 1, workers=2)
+
+    first = sweep()
+    pool = exp._pool
+    assert first == sweep_real_data(ds, [20, 50], [1, 2], rules, 4, 1)
+    # a task names the held dataset; plain pickle still carries it
+    assert len(ForkingPickler.dumps(cfg)) < 4096
+    assert pickle.loads(ForkingPickler.dumps(cfg)).source.dataset is ds
+    assert len(pickle.dumps(cfg)) > 4096
+    assert pickle.loads(pickle.dumps(cfg)).source.dataset == ds
+    assert sweep() == first and exp._pool is pool
+    exp.shutdown_pool()
+    assert exp._held is None
+    assert len(ForkingPickler.dumps(cfg)) > 4096
+
+
+def test_a_run_on_another_dataset_restarts_the_pool_and_mallows_keeps_it(fresh_pool):
+    ds = parse_preflib(EXAMPLE1_CLASSIC)
+    rules = [parse_rule("copeland")]
+    sweep_real_data(ds, [30], [1, 2], rules, 4, 1, workers=2)
+    pool = exp._pool
+    cfg = _mallows_cfg(15)
+    assert run_success_rate(cfg, 2) == run_success_rate(cfg)
+    assert exp._pool is pool and exp._held is ds
+    other = _wide_dataset()
+    sweep_real_data(other, [30], [1, 2], rules, 4, 1, workers=2)
+    assert exp._pool is not pool and exp._held is other
+
+
+def _trial_id(cfg, t):
+    return cfg.source.n_star, t
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_one_map_deals_the_trial_grid_round_robin_and_merges_it_in_order(workers):
+    # 3 n* cells of 5 trials: 15 tasks, a multiple of neither worker count
+    ds = parse_preflib(EXAMPLE1_CLASSIC)
+    rules = [parse_rule("stv"), parse_rule("borda"), parse_rule("maximin")]
+
+    def sweep(w):
+        return sweep_real_data(ds, [10, 30, 62], [1, 2, 3], rules, 5, 4, workers=w)
+
+    assert sweep(workers) == sweep(1)
+    cfgs = [
+        ExperimentConfig(PreflibSource(ds, n_star), tuple(rules), (1,), trials, 4)
+        for n_star, trials in ((10, 5), (30, 3), (62, 1))
+    ]
+    expected = [[(cfg.source.n_star, t) for t in range(cfg.trials)] for cfg in cfgs]
+    assert exp._map_trials(_trial_id, cfgs, workers) == expected
+    assert exp._map_trials(_trial_id, cfgs, 1) == expected
 
 
 def test_preflib_source_success():

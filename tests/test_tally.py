@@ -301,29 +301,50 @@ def test_stv_at_every_depth_equals_the_whole_elimination(drawn):
         assert winner == stv_winner(profile, tb), (tb, k)
 
 
-def test_stv_rounds_are_shared_across_depths(monkeypatch):
-    # each STV round breaks its tie for last place with one TieBreak.worst
-    # call: one winners call over every depth plays the deepest run's m-1
-    # rounds and, for each k, only the m-1-k rounds after its own k
+@pytest.fixture
+def stv_rounds(monkeypatch):
+    """``rounds(tally, ks, tb)``: the STV rounds one winners call plays. Each
+    round breaks its tie for last place with one TieBreak.worst call."""
     calls = []
     worst = TieBreak.worst
     monkeypatch.setattr(TieBreak, "worst", lambda tb, cs: calls.append(1) or worst(tb, cs))
-    stv = parse_rule("stv")
 
-    def rounds(tally, tb):
+    def rounds(tally, ks, tb):
         calls.clear()
-        tally.winners(stv, (None, *range(1, tally.m)), tb)
+        tally.winners(parse_rule("stv"), ks, tb)
         return len(calls)
 
+    return rounds
+
+
+def test_stv_rounds_are_shared_across_depths(stv_rounds):
+    # one winners call over every depth plays the deepest run's m-1 rounds
+    # and, for each k, only the m-1-k rounds after its own k
     complete = sample_profile(MallowsModel(7, 1.0), 200, mallows.make_rng(1))
     tally = IntegerTally(complete.ranks, complete.counts)
-    assert rounds(tally, TieBreak.by_index(7)) == 21
-    assert rounds(tally, TieBreak(tuple(reversed(range(7))))) == 21
+    every = (None, *range(1, 7))
+    assert stv_rounds(tally, every, TieBreak.by_index(7)) == 21
+    assert stv_rounds(tally, every, TieBreak(tuple(reversed(range(7))))) == 21
     full = sample_profile(MallowsModel(12, 0.8), 50, mallows.make_rng(2))
     ballots = [(order[: 1 + i % 12], count) for i, (order, count) in enumerate(full.entries)]
     soi = _tally_of(12, ballots)
     assert not soi.complete
-    assert rounds(soi, TieBreak.by_index(12)) == 66
+    assert stv_rounds(soi, (None, *range(1, 12)), TieBreak.by_index(12)) == 66
+
+
+def test_stv_runs_at_the_deepest_requested_level(stv_rounds):
+    # a single depth plays m-1 rounds, not a deeper run's first and then its
+    # own; a lower depth beside it replays only the rounds after its own k
+    complete = sample_profile(MallowsModel(7, 1.0), 200, mallows.make_rng(1))
+    tally = IntegerTally(complete.ranks, complete.counts)
+    tb = TieBreak.by_index(7)
+    stv = parse_rule("stv")
+    every = tally.winners(stv, (None, *range(1, 7)), tb)
+    for k, winner in zip((None, *range(1, 7)), every):
+        assert stv_rounds(tally, (k,), tb) == 6, k
+        assert tally.winner(stv, k, tb) == winner, k
+    assert stv_rounds(tally, (3, 1), tb) == 6 + 5
+    assert tally.winners(stv, (3, 1), tb) == [every[3], every[1]]
 
 
 @pytest.mark.parametrize("head, s_star", [
