@@ -13,8 +13,6 @@ from .ballots import (
     Profile,
     TieBreak,
     TopKProfile,
-    dominance_tally,
-    pairwise_tally,
     truncate,
 )
 from .bounds import (
@@ -46,7 +44,7 @@ from .experiments import (
     sweep_real_data,
     write_csv,
 )
-from .mallows import MallowsModel, kendall_tau, make_rng, normalization, pmf, sample, sample_profile, trial_rng
+from .mallows import MallowsModel, kendall_tau, make_rng, normalization, pmf, sample_profile, trial_rng
 from .preflib import (
     ElectionDataset,
     PreflibParseError,
@@ -70,6 +68,6 @@ from .rules import (
     parse_rule,
     scoring_vector,
 )
-from .tally import IntegerTally
+from .tally import IntegerTally, dominance_tally, pairwise_tally
 
 __version__ = "0.1.0"

@@ -1,12 +1,12 @@
-"""Core data model: candidates, ballots, weighted ballot lists, tallies.
+"""Core data model: candidates, ballots, weighted ballot lists, truncation.
 
 Candidates are dense integer ids ``0..m-1`` and a ballot is a non-empty
 prefix of distinct ids. A :class:`BallotList` keeps a weighted multiset of
 ballots as the rank matrix of its distinct ballots, built by the one ballot
 check, and their counts, so electorates with millions of voters but few
-distinct ballots stay cheap, and the tally reads the matrix as it is.
-Everything here is immutable and every operation is a pure function; tallies
-are exact integers.
+distinct ballots stay cheap, and the tally reads the matrix as it is
+(:mod:`truncvote.tally` builds every :class:`PairwiseTally`). Everything
+here is immutable and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -187,36 +187,3 @@ def truncate(profile: Profile, k: int) -> TopKProfile:
     return TopKProfile.from_ballots(
         profile.m, k, ((order[:k], count) for order, count in profile.entries)
     )
-
-
-def pairwise_tally(profile: Profile) -> PairwiseTally:
-    """counts[a][b] = number of voters ranking a above b."""
-    m = profile.m
-    counts = [[0] * m for _ in range(m)]
-    for order, weight in profile.entries:
-        for i, a in enumerate(order):
-            row = counts[a]
-            for b in order[i + 1 :]:
-                row[b] += weight
-    return PairwiseTally(m, profile.n, tuple(tuple(row) for row in counts))
-
-
-def dominance_tally(topk: TopKProfile) -> PairwiseTally:
-    """counts[a][b] = voters for whom a dominates b.
-
-    a dominates b in a ballot if a is ranked above b, or a is ranked while b
-    is unranked. Ballots ranking neither candidate contribute nothing.
-    """
-    m = topk.m
-    counts = [[0] * m for _ in range(m)]
-    for order, weight in topk.entries:
-        ranked = set(order)
-        unranked = [c for c in range(m) if c not in ranked]
-        for i, a in enumerate(order):
-            row = counts[a]
-            for b in order[i + 1 :]:
-                row[b] += weight
-            for b in unranked:
-                row[b] += weight
-    return PairwiseTally(m, topk.n, tuple(tuple(row) for row in counts))
-

@@ -88,9 +88,15 @@ def psr_bounds(s: ScoringVector, k: int, s_star: Fraction) -> RatioBound:
     s_star = 0 and s_m = 0 as well: for s_m > 0 (e.g. the harmonic vector)
     `lower` is not in general attained, so it is not a lower bound on the
     worst case (harmonic, m=4, k=2: the worst case is 4/3, lower is 14/9).
+
+    Exactly 1 at k = m-1 when s_star = s_m (tail-average completion, say): a
+    top-(m-1) ballot gives its one unranked candidate s_m, so the top-(m-1)
+    rule is the complete rule.
     """
     m = len(s)
     sp = _reduced_vector(s, k, s_star)
+    if k == m - 1 and s_star == s[m - 1]:
+        return RatioBound(Fraction(1), Fraction(1))
     head_sum = sum(sp)
     s_next = s[k]
     lower = 1 - s_next / s[0] + (s_next / s[0]) * (m * sp[0]) / head_sum

@@ -9,14 +9,15 @@ so that a given seed reproduces the same profiles on every platform;
 the distinct codes, into the tally's rank matrix; for m! <= ``_CHUNK_ROWS``
 it counts them in one m!-bin table and reads the rows, in code order, from a
 cached decode. A voter's insertion slot at each step is the count of that
-step's cdf values <= its uniform: that equals ``bisect_right``, because the
-cdf is non-decreasing and ends at 1.0, and every uniform is below 1.
+step's cdf values <= its uniform: that equals the ``bisect_right`` of the
+one-ranking-at-a-time insertion sampler the tests keep as its oracle
+(``tests/reference_rules.py``), because the cdf is non-decreasing and ends at
+1.0, and every uniform is below 1.
 Per-trial sub-streams are derived as ``default_rng([base_seed, trial_index])``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ballots import Ballot, DomainError, Profile, _orders, _validate_permutation
+from .ballots import DomainError, Profile, _orders, _validate_permutation
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -98,20 +99,6 @@ def _insertion_cdfs(m: int, phi: float) -> tuple[tuple[float, ...], ...]:
     return tuple(cdfs)
 
 
-def _insert_from_uniforms(model: MallowsModel, uniforms: Sequence[float]) -> Ballot:
-    """The ranking that inserts candidate j+1 at top-based slot
-    ``bisect_right(cdf of step j, uniforms[j])``, for j = 0..m-2."""
-    out = [0]
-    for j, (cdf, u) in enumerate(zip(_insertion_cdfs(model.m, float(model.phi)), uniforms)):
-        out.insert(bisect_right(cdf, u), j + 1)
-    return tuple(out)
-
-
-def sample(model: MallowsModel, rng: np.random.Generator) -> Ballot:
-    """One exact draw from the Mallows distribution (the tests' oracle)."""
-    return _insert_from_uniforms(model, rng.random(model.m - 1))
-
-
 # rows of uniforms drawn at a time; bounds the sampler's memory for any n
 _CHUNK_ROWS = 1 << 14
 # slot codes lie below m!, and 20! < 2**63 < 21!: int64 codes up to m = 20,
@@ -124,10 +111,9 @@ def _slot_codes(model: MallowsModel, uniforms: np.ndarray) -> np.ndarray:
     (0..j+1) is the digit of radix j + 2, step 0 the most significant.
 
     The slot is the count of step j's cdf values that are <= u, compared
-    branch-free over the whole column. That count is the ``bisect_right`` of
-    :func:`_insert_from_uniforms`, because the cdf is non-decreasing; and as
-    it ends at 1.0 while every uniform is below 1, only its first j + 1
-    values need comparing."""
+    branch-free over the whole column. That count is ``bisect_right(cdf, u)``,
+    because the cdf is non-decreasing; and as it ends at 1.0 while every
+    uniform is below 1, only its first j + 1 values need comparing."""
     codes = np.zeros(len(uniforms), dtype=np.int64 if model.m <= _MAX_CODED_M else object)
     slot_dtype = np.min_scalar_type(model.m)  # a slot is at most m - 1
     for j, cdf in enumerate(_insertion_cdfs(model.m, float(model.phi))):

@@ -10,9 +10,9 @@ Every winner, Ranked Pairs and STV included, comes from the exact integer
 counts of :class:`truncvote.tally.IntegerTally`; :func:`apply_rule` asks it
 for one. :func:`copeland_scores` and :func:`maximin_scores` keep
 ``Fraction`` results on a pairwise tally, the form in which bounds and
-reported ratios are stated. The ``Fraction`` positional scores, STV and
-graph-search Ranked Pairs that the tally is checked against are in
-``tests/reference_rules.py``.
+reported ratios are stated. The loop tallies, ``Fraction`` positional
+scores, STV and graph-search Ranked Pairs that the tally is checked against
+are in ``tests/reference_rules.py``.
 """
 
 from __future__ import annotations

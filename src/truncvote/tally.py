@@ -11,8 +11,11 @@ numpy arrays:
   candidate c at position p (0-based, p < m);
 - the cumulative dominance tensor ``D[k-1, a, b]`` for k = 1..m: total
   weight of the ballots whose top-k prefix ranks a above b or ranks a and
-  not b. ``D[k-1]`` is ``dominance_tally(effective_truncate(ballots, k, m))``
-  and, on complete ballots, ``D[m-1]`` is ``pairwise_tally``.
+  not b. On complete ballots ``D[m-1]`` is the pairwise table.
+
+:func:`pairwise_tally` and :func:`dominance_tally` read one layer of it as a
+:class:`~truncvote.ballots.PairwiseTally`: ``D[m-1]`` of a complete profile,
+``D[k-1]`` of a top-k profile.
 
 :meth:`IntegerTally.winners` gives one rule's winner at every requested k
 (None for the ground truth) in one call. PSR scores at all those levels are
@@ -36,7 +39,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .ballots import DomainError, PairwiseTally, TieBreak, _check_k, _check_priority
+from .ballots import (
+    DomainError, PairwiseTally, Profile, TieBreak, TopKProfile, _check_k, _check_priority,
+)
 from .rules import SCORED_FAMILIES, RuleId, _validate_head, completion_score, scoring_vector
 
 # counts never exceed the total weight n, so int64 holds every partial sum
@@ -142,7 +147,7 @@ class IntegerTally:
         return k
 
     def pairwise(self, k: int | None = None) -> PairwiseTally:
-        """``D[k-1]`` as a tally; ``pairwise_tally`` when k is None and the
+        """``D[k-1]`` as a tally; the pairwise table when k is None and the
         ballots are complete."""
         counts = self._dominance[self._level(k) - 1].tolist()
         return PairwiseTally(self.m, self.n, tuple(map(tuple, counts)))
@@ -256,3 +261,17 @@ class IntegerTally:
             active = [c for c in active if c != loser]
             history.append(active)
         return history
+
+
+def pairwise_tally(profile: Profile) -> PairwiseTally:
+    """counts[a][b] = number of voters ranking a above b; complete ballots only."""
+    tally = IntegerTally(profile.ranks, profile.counts)
+    if not tally.complete:
+        raise DomainError(f"a pairwise tally needs every ballot to rank all {profile.m} candidates")
+    return tally.pairwise()
+
+
+def dominance_tally(topk: TopKProfile) -> PairwiseTally:
+    """counts[a][b] = voters for whom a dominates b: a is ranked above b, or
+    a is ranked and b is not. Ballots ranking neither contribute nothing."""
+    return IntegerTally(topk.ranks, topk.counts).pairwise(topk.k)

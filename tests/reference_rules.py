@@ -1,28 +1,77 @@
-"""The ``Fraction`` reference rules the integer tally is tested against.
+"""Every loop oracle the package's array code is tested against.
 
-Plain loops over a profile's ballots: positional scores complete and top-k,
-the score table of any score-based rule, STV by repeated first-choice
-counts, and Ranked Pairs by a fresh graph search per pair. Nothing in the
-package calls them; the tally and rule tests compare against them.
+Plain loops over a profile's ballots: the pairwise and dominance tallies,
+``Fraction`` positional scores complete and top-k, the score table of any
+score-based rule, STV by repeated first-choice counts, and Ranked Pairs by a
+fresh graph search per pair; and the Mallows sampler that draws one ranking
+at a time by repeated insertion. Nothing in the package calls them; the
+tally, rule and sampler tests compare against them.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from truncvote import (
     DomainError,
+    MallowsModel,
     PairwiseTally,
     Profile,
     TieBreak,
     TopKProfile,
     completion_score,
     copeland_scores,
-    dominance_tally,
     maximin_scores,
-    pairwise_tally,
     scoring_vector,
     truncate,
 )
+from truncvote.ballots import Ballot
+from truncvote.mallows import _insertion_cdfs
+
+
+def pairwise_by_loop(profile: Profile) -> PairwiseTally:
+    """counts[a][b] = number of voters ranking a above b."""
+    m = profile.m
+    counts = [[0] * m for _ in range(m)]
+    for order, weight in profile.entries:
+        for i, a in enumerate(order):
+            row = counts[a]
+            for b in order[i + 1 :]:
+                row[b] += weight
+    return PairwiseTally(m, profile.n, tuple(tuple(row) for row in counts))
+
+
+def dominance_by_loop(topk: TopKProfile) -> PairwiseTally:
+    """counts[a][b] = voters for whom a dominates b: a is ranked above b, or
+    a is ranked and b is not. Ballots ranking neither contribute nothing."""
+    m = topk.m
+    counts = [[0] * m for _ in range(m)]
+    for order, weight in topk.entries:
+        ranked = set(order)
+        unranked = [c for c in range(m) if c not in ranked]
+        for i, a in enumerate(order):
+            row = counts[a]
+            for b in order[i + 1 :]:
+                row[b] += weight
+            for b in unranked:
+                row[b] += weight
+    return PairwiseTally(m, topk.n, tuple(tuple(row) for row in counts))
+
+
+def insert_from_uniforms(model: MallowsModel, uniforms: Sequence[float]) -> Ballot:
+    """The ranking that inserts candidate j+1 at top-based slot
+    ``bisect_right(cdf of step j, uniforms[j])``, for j = 0..m-2."""
+    out = [0]
+    for j, (cdf, u) in enumerate(zip(_insertion_cdfs(model.m, float(model.phi)), uniforms)):
+        out.insert(bisect_right(cdf, u), j + 1)
+    return tuple(out)
+
+
+def sample_ranking(model: MallowsModel, rng: np.random.Generator) -> Ballot:
+    """One exact draw from the Mallows distribution."""
+    return insert_from_uniforms(model, rng.random(model.m - 1))
 from truncvote.rules import (
     SCORED_FAMILIES,
     RuleId,
@@ -73,14 +122,14 @@ def rule_scores(rule: RuleId, profile: Profile | TopKProfile) -> ScoreTable:
     if rule.k is None:
         if rule.family == "psr":
             return psr_scores(profile, scoring_vector(rule, m))
-        tally = pairwise_tally(profile)
+        tally = pairwise_by_loop(profile)
     else:
         topk = truncate(profile, rule.k) if isinstance(profile, Profile) else profile
         if rule.family == "psr":
             vector = scoring_vector(rule, m)
             s_star = completion_score(vector, rule.k, rule.policy)
             return topk_psr_scores(topk, vector[: rule.k], s_star)
-        tally = dominance_tally(topk)
+        tally = dominance_by_loop(topk)
     if rule.family == "copeland":
         return copeland_scores(tally)
     return maximin_scores(tally)

@@ -106,6 +106,16 @@ def test_dominance_ignores_ballots_ranking_neither():
     assert tally.counts[0][1] == 5 and tally.counts[1][0] == 3
 
 
+def test_pairwise_tally_rejects_ballots_that_are_not_complete():
+    # a top-k or SOI list has no pairwise table: its dominance tally is read
+    # at a depth, and (0,) dominates both unranked candidates
+    topk = truncate(Profile.from_ballots(3, [((0, 1, 2), 1)]), 1)
+    assert dominance_tally(topk).counts[0] == (0, 1, 1)
+    for ballots in (topk, BallotList.from_ballots(3, [((0, 1, 2), 2), ((1, 0), 1)])):
+        with pytest.raises(DomainError, match="pairwise tally needs every ballot to rank all 3"):
+            pairwise_tally(ballots)
+
+
 def test_tiebreak_priority():
     tb = TieBreak((2, 0, 1))
     assert tb.rank(2) == 0

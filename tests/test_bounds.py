@@ -232,6 +232,24 @@ def test_random_profiles_never_exceed_upper_bound():
     assert exact > 0
 
 
+@pytest.mark.parametrize("text", ["harmonic:avg", "borda:avg", "approval2:avg"])
+def test_psr_bound_is_one_at_m_minus_1_when_the_completion_is_s_m(text):
+    # a top-(m-1) ballot gives its one unranked candidate s_star = s_m, the
+    # score the complete rule gives it: the top-(m-1) rule is the complete one
+    import numpy as np
+
+    from truncvote import sample_profile
+    from truncvote.mallows import MallowsModel
+
+    rule = parse_rule(text)
+    rng = np.random.default_rng(11)
+    for m in range(3, 9):
+        assert rule_bound(rule, m, m - 1) == RatioBound(F(1), F(1)), m
+        for phi in (0.5, 1.0):
+            profile = sample_profile(MallowsModel(m, phi), int(rng.integers(1, 40)), rng)
+            assert price_of_truncation(profile, rule, m - 1) == 1, (m, phi)
+
+
 def test_price_rejects_non_score_rules(example1):
     with pytest.raises(UnsupportedRuleError):
         price_of_truncation(example1, parse_rule("rp"), 2)

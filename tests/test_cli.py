@@ -165,7 +165,8 @@ def test_bounds_copeland_rejects_k_outside_range(capsys):
     ("borda:zero", "133d46138fa7f458dee60a277a90a0ceab7db082056f9befff41d70c60cafce0"),
     ("borda:avg", "078890fc669ecac1c56965de32e1808de26b830437cd85147095475470b6e074"),
     ("harmonic:zero", "0e722957e1f50e22bf87905ebc7c1afe27de82fa116584897b6e0234bce25258"),
-    ("harmonic:avg", "986758322c4c9c29ad0f649b098acfec421d8a4574401e70f60f1f79b006f833"),
+    # its k = m-1 rows, (m, k) = (4,3) .. (8,7), read lower = upper = 1
+    ("harmonic:avg", "80bfb83bf7cadc52cf74d2dae340596f4486239ad6288bce978173eb95c83ac6"),
     ("maximin", "77079db26c7089e5eeccb9e47ae3966010280946296eec9b9aba9785eec82f0f"),
     ("copeland", "e16931139a6805aec90ca20c3b6f5f254905ebff325c9333b9cb7b5896be9b3b"),
 ])

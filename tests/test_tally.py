@@ -1,5 +1,5 @@
-"""IntegerTally against the Fraction oracle, and the block sampler and its
-rank matrix against the one-ballot-at-a-time sampler."""
+"""IntegerTally against the loop and Fraction oracles, and the block sampler
+and its rank matrix against the one-ballot-at-a-time sampler."""
 
 from bisect import bisect_right
 from collections import Counter
@@ -31,7 +31,8 @@ from truncvote.experiments import TIE_CONVENTIONS, ExperimentConfig, _success_tr
 from truncvote.rules import SCORED_FAMILIES
 from truncvote.tally import IntegerTally
 from reference_rules import (
-    psr_scores, ranked_pairs_by_search, rule_scores, stv_winner, topk_psr_scores,
+    dominance_by_loop, insert_from_uniforms, pairwise_by_loop, psr_scores,
+    ranked_pairs_by_search, rule_scores, stv_winner, topk_psr_scores,
 )
 
 SCORED = ("borda:zero", "borda:avg", "harmonic:zero", "harmonic:avg", "copeland", "maximin")
@@ -80,8 +81,8 @@ def _check_against_oracle(tally, rule, k, profile, tb):
             return
         winner = tally.winner(rule, k, tb)
     if rule.family == "rp":
-        assert winner == ranked_pairs_by_search(pairwise_tally(profile) if k is None
-                                                else dominance_tally(profile), tb), (rule, k)
+        assert winner == ranked_pairs_by_search(pairwise_by_loop(profile) if k is None
+                                                else dominance_by_loop(profile), tb), (rule, k)
     elif rule.family == "stv":
         assert winner == stv_winner(profile, tb), (rule, k)
     else:
@@ -98,7 +99,7 @@ def test_complete_profiles_match_the_fraction_rules(election, width):
     m, ballots, tb = election
     profile = Profile.from_ballots(m, ballots)
     tally = IntegerTally(profile.ranks, profile.counts)
-    assert tally.pairwise() == pairwise_tally(profile)
+    assert tally.pairwise() == pairwise_by_loop(profile)
     for rule in _rules(m, min(width, m)):
         _check_against_oracle(tally, rule, None, profile, tb)
         for k in range(1, m):
@@ -111,7 +112,7 @@ def test_soi_ballots_match_the_fraction_rules(election, width):
     tally = _tally_of(m, ballots)
     for k in range(1, m):
         topk = effective_truncate(ballots, k, m)
-        assert tally.pairwise(k) == dominance_tally(topk)
+        assert tally.pairwise(k) == dominance_by_loop(topk)
         for rule in _rules(m, min(width, m)):
             _check_against_oracle(tally, rule, k, topk, tb)
 
@@ -151,7 +152,12 @@ def test_counts_above_int64_stay_exact():
     profile = Profile.from_ballots(3, ballots)
     tally = IntegerTally(profile.ranks, profile.counts)
     assert tally.n == 3 * big + 2
-    assert tally.pairwise() == pairwise_tally(profile)
+    assert tally.pairwise() == pairwise_by_loop(profile)
+    # the public wrappers read the object-dtype tables through .tolist()
+    assert pairwise_tally(profile) == pairwise_by_loop(profile)
+    for k in (1, 2):
+        topk = truncate(profile, k)
+        assert dominance_tally(topk) == tally.pairwise(k) == dominance_by_loop(topk)
     tb = TieBreak.by_index(3)
     for text in (*SCORED, "approval2:avg"):
         rule = parse_rule(text)
@@ -176,7 +182,7 @@ def _reference_winners(m, ballots, rule, tb):
     for at_k, profile in [truth] + [(rule.at_k(k), effective_truncate(ballots, k, m))
                                     for k in range(1, m)]:
         if rule.family == "rp":
-            counts = pairwise_tally(profile) if at_k.k is None else dominance_tally(profile)
+            counts = pairwise_by_loop(profile) if at_k.k is None else dominance_by_loop(profile)
             winners.append(ranked_pairs_by_search(counts, tb))
         elif rule.family == "stv":
             winners.append(stv_winner(profile, tb))
@@ -391,7 +397,7 @@ def test_invalid_ballots_are_rejected(ballots):
 
 def _one_by_one(model: MallowsModel, n: int, seed: int) -> Profile:
     rows = mallows.make_rng(seed).random((n, model.m - 1))
-    counts = Counter(mallows._insert_from_uniforms(model, row) for row in rows)
+    counts = Counter(insert_from_uniforms(model, row) for row in rows)
     return Profile.from_ballots(model.m, counts.items())
 
 
@@ -409,17 +415,18 @@ def test_sampler_equals_one_ballot_at_a_time(m, n, phi, seed):
 
 
 def _check_decoded_ranks(model: MallowsModel, n: int, seed: int) -> None:
-    """The tally of the decoded rank matrix against the tally of the same
-    draws made one ranking tuple at a time: equal position counts, ``D[k-1]``
-    for every k, and every rule's winner at every k."""
+    """The tally of the decoded rank matrix against the same draws made one
+    ranking tuple at a time: equal position counts, ``D[k-1]`` for every k
+    against the loop tallies, and every rule's winner at every k against the
+    tally of the ranking tuples."""
     m = model.m
     sampled = IntegerTally(*mallows.sample_ranks(model, n, mallows.make_rng(seed)))
     profile = _one_by_one(model, n, seed)
     oracle = IntegerTally(profile.ranks, profile.counts)
     assert sampled.n == oracle.n and np.array_equal(sampled._positions, oracle._positions)
-    assert sampled.pairwise(None) == oracle.pairwise(None)
+    assert sampled.pairwise(None) == pairwise_by_loop(profile)
     for k in range(1, m):
-        assert sampled.pairwise(k) == oracle.pairwise(k)
+        assert sampled.pairwise(k) == dominance_by_loop(truncate(profile, k))
     tb = TieBreak.by_index(m)
     for rule in _rules(m, max(1, m // 2)):
         for k in (None, *range(1, m)):
