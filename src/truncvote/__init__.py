@@ -37,8 +37,6 @@ from .experiments import (
     FixedSource,
     MallowsSource,
     PreflibSource,
-    min_k_search,
-    run_ratio,
     run_success_rate,
     shutdown_pool,
     sweep_real_data,

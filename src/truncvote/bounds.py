@@ -188,15 +188,15 @@ def maximin_adversarial(m: int, k: int) -> AdversarialInstance:
 
 def copeland_adversarial(m: int, k: int) -> AdversarialInstance:
     """2k+1 votes x1 x2 .. xm, then for each cyclic rotation of x2..xm one
-    vote of it and one of its reverse, each with x1 last: 2m-1 ballots.
+    vote of it and one of its reverse, each with x1 last: 2m-1 ballots (3 at m = 3).
     x1 is above each y in 2k+1 of the 2k+2m-1 votes, a minority for k <= m-2,
     so it is a Condorcet loser with Copeland score 0. In the top k it beats
     each y by 2k+1 to 2k, so it is the top-k Condorcet winner under any
-    priority. A rotation and its reverse tie every pair among x2..xm, so the
-    2k+1 votes make x2 the Condorcet winner, with score m-1. The ratio is
-    infinite."""
-    if not 2 <= k <= m - 2:
-        raise DomainError(f"construction needs 2 <= k <= m-2, got m={m}, k={k}")
+    priority (at k = 1: x1 tops 3 votes, every y tops 2). A rotation and its
+    reverse tie every pair among x2..xm, so the 2k+1 votes make x2 the
+    Condorcet winner, with score m-1. The ratio is infinite."""
+    if not 1 <= k <= m - 2:
+        raise DomainError(f"construction needs 1 <= k <= m-2, got m={m}, k={k}")
     ballots = [(tuple(range(m)), 2 * k + 1)]
     for start in range(1, m):
         rotation = tuple(range(start, m)) + tuple(range(1, start))

@@ -7,7 +7,9 @@ command requires an explicit --seed. CSV goes to stdout or --out; exit code
 2 for usage/parse/file errors, 1 for domain errors.
 
 Grid options take a comma list or an inclusive 'a:b[:c]' range (--phi: lists
-only); a Mallows experiment runs its (phi, n) cells phi outer, n inner.
+only). An experiment builds one config per cell, the (phi, n) cells phi
+outer and n inner or the n* cells of a real-data sweep, and runs them all
+with one ``experiments.run`` call, so its trials are one map at any --workers.
 """
 
 from __future__ import annotations
@@ -186,39 +188,24 @@ def _cmd_parse_check(args) -> int:
     return 0
 
 
-_MALLOWS_MODES = {
-    "success": (exp.run_success_rate, exp.SUCCESS_COLUMNS),
-    "ratio": (exp.run_ratio, exp.RATIO_COLUMNS),
-    "min-k": (exp.min_k_search, exp.MIN_K_COLUMNS),
-}
-
-
-def _mallows_configs(args) -> list[exp.ExperimentConfig]:
-    """One config per (phi, n) cell, phi outer and n inner."""
-    rules, tb = _parse_rules(args.rule), _tiebreak(args.tiebreak, args.m)
-    k_values = tuple(args.k or range(1, args.m))  # min-k reads every k in 1..m-1
-    return [
-        exp.ExperimentConfig(
-            exp.MallowsSource(args.m, n, phi), rules, k_values, args.trials, args.seed, tb,
-            args.ties,
-        )
-        for phi in args.phi
-        for n in args.n
-    ]
+def _configs(args) -> list[exp.ExperimentConfig]:
+    """One config per cell: the (phi, n) cells phi outer and n inner, or the
+    n* cells of a real-data sweep."""
+    ds = load(args.data) if args.mode == "real-sweep" else None
+    m = args.m if ds is None else ds.m
+    rules, tb = _parse_rules(args.rule), _tiebreak(args.tiebreak, m)
+    k_values = tuple(args.k or range(1, m))  # min-k reads every k in 1..m-1
+    sources = (
+        (exp.MallowsSource(m, n, phi) for phi in args.phi for n in args.n) if ds is None
+        else (exp.PreflibSource(ds, n_star) for n_star in args.n_star)
+    )
+    return [exp.ExperimentConfig(source, rules, k_values, args.trials, args.seed, tb, args.ties)
+            for source in sources]
 
 
 def _cmd_experiment(args) -> int:
-    if args.mode == "real-sweep":
-        ds = load(args.data)
-        rows = exp.sweep_real_data(
-            ds, args.n_star, args.k, _parse_rules(args.rule), args.trials, args.seed,
-            _tiebreak(args.tiebreak, ds.m), args.workers, ties=args.ties,
-        )
-        _write_rows(rows, exp.REAL_SWEEP_COLUMNS, args.out)
-        return 0
-    run, columns = _MALLOWS_MODES[args.mode]
-    rows = [row for cfg in _mallows_configs(args) for row in run(cfg, args.workers)]
-    _write_rows(rows, columns, args.out)
+    rows = exp.run(args.mode, _configs(args), args.workers)
+    _write_rows(rows, exp.MODES[args.mode].columns, args.out)
     return 0
 
 

@@ -1,5 +1,6 @@
 """Monte-Carlo harness: success rate, score-ratio, minimal-k search, and
 real-data sweeps, with seeded deterministic parallel trials and CSV output.
+Each mode is one entry of :data:`MODES`, and :func:`run` runs any of them.
 
 Trial t always uses the stream ``trial_rng(base_seed, t)`` and results are
 merged in trial order, so the worker count never changes the output.
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -284,78 +286,98 @@ def _map_trials(fn: Callable, cfgs: Sequence[ExperimentConfig], workers: int) ->
     return [list(islice(merged, cfg.trials)) for cfg in cfgs]
 
 
-def _source_fields(source: ProfileSource) -> tuple[str, str]:
+def _source_fields(source: ProfileSource) -> dict[str, str]:
     if isinstance(source, MallowsSource):
-        return f"{source.phi:g}", str(source.n)
+        return {"phi": f"{source.phi:g}", "n": str(source.n)}
     if isinstance(source, FixedSource):
-        return "", str(source.profile.n)
-    return "", str(source.n_star)
+        return {"phi": "", "n": str(source.profile.n)}
+    return {"phi": "", "n": str(source.n_star), "n_star": str(source.n_star)}
 
 
-def _rows(cfg: ExperimentConfig, results: list, cell: Callable[[list], list]) -> list[dict]:
-    """The CSV rows of one config, rule-major.
-
-    ``cell`` gets one rule's outcomes as (k, per-trial outcomes) pairs in
-    ``cfg.k_values`` order and returns that rule's rows as (k, columns)
-    pairs; each row gets the rule, its k unless that is None, the config's
-    phi, n, trials and seed, then its own columns.
-    """
-    phi, n = _source_fields(cfg.source)
-    fields = {"phi": phi, "n": n, "trials": str(cfg.trials), "seed": str(cfg.base_seed)}
+def _rows(cfg: ExperimentConfig, results: list, cells: Callable) -> list[dict]:
+    """One config's rows, rule-major: ``cells(cfg, by_k)`` turns a rule's (k,
+    per-trial outcomes) pairs into (k, columns) pairs, each row led by the
+    rule, its k (unless None), the source's fields, the trials and the seed."""
+    fields = {**_source_fields(cfg.source), "trials": str(cfg.trials), "seed": str(cfg.base_seed)}
     # one outcome sequence per (rule, k), rule-major, as the trials return them
     outcomes = iter(zip(*results))
     rows = []
     for rule in cfg.rules:
-        for k, columns in cell([(k, next(outcomes)) for k in cfg.k_values]):
+        for k, columns in cells(cfg, [(k, next(outcomes)) for k in cfg.k_values]):
             k_field = {} if k is None else {"k": str(k)}
             rows.append({"rule": rule.label, **k_field, **fields, **columns})
     return rows
 
 
-def _success_rows(cfg: ExperimentConfig, results: list) -> list[dict]:
-    return _rows(cfg, results, lambda by_k: [
-        (k, {"rate": f"{sum(hits) / cfg.trials:.4f}"}) for k, hits in by_k
-    ])
+def _rate_cells(cfg: ExperimentConfig, by_k: list) -> list:
+    return [(k, {"rate": f"{sum(hits) / cfg.trials:.4f}"}) for k, hits in by_k]
 
 
-def run_success_rate(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
-    """Winner-agreement rate per (rule, k); rows ready for CSV."""
-    [results] = _map_trials(_success_trial, [cfg], workers)
-    return _success_rows(cfg, results)
+def _ratio_cells(cfg: ExperimentConfig, by_k: list) -> list:
+    """Mean and max score ratio per k; infinities counted, not averaged."""
+    cells = []
+    for k, ratios in by_k:
+        finite = [r for r in ratios if not is_infinite(r)]
+        mean = float(sum(finite, Fraction(0)) / len(finite)) if finite else float("nan")
+        peak = float(max(finite)) if finite else float("nan")
+        cells.append((k, {"mean_ratio": f"{mean:.6f}", "max_ratio": f"{peak:.6f}",
+                          "inf_count": str(len(ratios) - len(finite))}))
+    return cells
 
 
-def _ratio_columns(ratios: Sequence[Ratio]) -> dict:
-    finite = [r for r in ratios if not is_infinite(r)]
-    mean = float(sum(finite, Fraction(0)) / len(finite)) if finite else float("nan")
-    peak = float(max(finite)) if finite else float("nan")
-    return {
-        "mean_ratio": f"{mean:.6f}",
-        "max_ratio": f"{peak:.6f}",
-        "inf_count": str(len(ratios) - len(finite)),
-    }
+def _min_k_cells(cfg: ExperimentConfig, by_k: list) -> list:
+    """The least k whose top-k winner is right in every trial, else m-1."""
+    min_k = min((k for k, hits in by_k if all(hits)), default=cfg.source.m - 1)
+    return [(None, {"min_k": str(min_k)})]
 
 
-def run_ratio(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
-    """Per-(rule, k) mean and max score ratio; infinities counted, not averaged."""
+def _check_ratio(cfg: ExperimentConfig) -> None:
     for rule in cfg.rules:
         if rule.family not in SCORED_FAMILIES:
             raise DomainError(f"{rule.family} is not score-based; no ratio experiment")
     if isinstance(cfg.source, PreflibSource):
         raise DomainError("score-ratio experiments need complete profiles")
-    [results] = _map_trials(_ratio_trial, [cfg], workers)
-    return _rows(cfg, results, lambda by_k: [(k, _ratio_columns(r)) for k, r in by_k])
 
 
-def min_k_search(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
-    """Smallest k whose top-k winner agrees with the true winner in every
-    trial; m-1 if no smaller k qualifies. k_values must span 1..m-1."""
-    m = cfg.source.m
-    if tuple(sorted(cfg.k_values)) != tuple(range(1, m)):
+def _check_min_k(cfg: ExperimentConfig) -> None:
+    if tuple(sorted(cfg.k_values)) != tuple(range(1, cfg.source.m)):
         raise DomainError("min-k search needs k_values spanning 1..m-1")
-    [results] = _map_trials(_success_trial, [cfg], workers)
-    return _rows(cfg, results, lambda by_k: [
-        (None, {"min_k": str(min((k for k, hits in by_k if all(hits)), default=m - 1))})
-    ])
+
+
+def _check_real(cfg: ExperimentConfig) -> None:
+    if not isinstance(cfg.source, PreflibSource):
+        raise DomainError("a real-data sweep needs real-data sources")
+
+
+# Each experiment mode by its CLI name: its trial, the check every config
+# passes before any trial runs (None: the config's own suffices), the row
+# columns of one rule's (k, outcomes) pairs, and the CSV columns of its rows.
+Mode = namedtuple("Mode", "trial check cells columns")
+MODES = {
+    "success": Mode(_success_trial, None, _rate_cells, SUCCESS_COLUMNS),
+    "ratio": Mode(_ratio_trial, _check_ratio, _ratio_cells, RATIO_COLUMNS),
+    "min-k": Mode(_success_trial, _check_min_k, _min_k_cells, MIN_K_COLUMNS),
+    "real-sweep": Mode(_success_trial, _check_real, _rate_cells, REAL_SWEEP_COLUMNS),
+}
+
+
+def run(mode: str, cfgs: Sequence[ExperimentConfig], workers: int = 1) -> list[dict]:
+    """Every config's rows in one mode: all checked first, all trials one map."""
+    spec = MODES[mode]
+    if spec.check:
+        for cfg in cfgs:
+            spec.check(cfg)
+    results = _map_trials(spec.trial, cfgs, workers)
+    return [
+        {column: row[column] for column in spec.columns}
+        for cfg, outcomes in zip(cfgs, results)
+        for row in _rows(cfg, outcomes, spec.cells)
+    ]
+
+
+def run_success_rate(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
+    """Winner-agreement rate per (rule, k); rows ready for CSV."""
+    return run("success", [cfg], workers)
 
 
 def sweep_real_data(
@@ -369,21 +391,13 @@ def sweep_real_data(
     workers: int = 1,
     ties: str = "priority",
 ) -> list[dict]:
-    """Success rate over resampled sub-elections for each (n*, rule, k). Every
-    n* cell's config is built, and so checked, before any trial runs, and
-    every cell's trials run in one map."""
-    configs = [
+    """Success rate over resampled sub-elections for each (n*, rule, k)."""
+    return run("real-sweep", [
         ExperimentConfig(
             PreflibSource(ds, n_star), tuple(rules), tuple(k_grid), trials, seed, tiebreak, ties
         )
         for n_star in n_star_grid
-    ]
-    results = _map_trials(_success_trial, configs, workers)
-    return [
-        {column: row["n" if column == "n_star" else column] for column in REAL_SWEEP_COLUMNS}
-        for cfg, cell in zip(configs, results)
-        for row in _success_rows(cfg, cell)
-    ]
+    ], workers)
 
 
 def write_csv(rows: Sequence[dict], destination, columns: Sequence[str]) -> None:

@@ -168,7 +168,8 @@ def test_bounds_copeland_rejects_k_outside_range(capsys):
     # its k = m-1 rows, (m, k) = (4,3) .. (8,7), read lower = upper = 1
     ("harmonic:avg", "80bfb83bf7cadc52cf74d2dae340596f4486239ad6288bce978173eb95c83ac6"),
     ("maximin", "77079db26c7089e5eeccb9e47ae3966010280946296eec9b9aba9785eec82f0f"),
-    ("copeland", "e16931139a6805aec90ca20c3b6f5f254905ebff325c9333b9cb7b5896be9b3b"),
+    # its k = 1 rows, m = 4..8, attain inf
+    ("copeland", "b635cdb9f35fef1d07893deaf5e392df08d729791d683d9894b8103d479457a1"),
 ])
 def test_bounds_witness_output_bytes_are_pinned(capsys, rule, digest):
     # every witness profile of m = 4..8 passes through the ballot check
@@ -385,17 +386,21 @@ def test_experiment_unknown_ties_exits_2(capsys):
 
 
 MALLOWS = ("--rule", "borda:zero,copeland", "--m", "4", "--trials", "3", "--seed", "5")
+GRID = ((0.7, 20), (0.7, 30), (1.0, 20), (1.0, 30))  # --phi 0.7,1.0 --n 20,30
 
 
-def expected_csv(run, columns, cells, k_values=(1, 2, 3)):
-    """write_csv of the concatenated rows of one config per (phi, n) cell."""
+def mallows_cells(*cells):
+    return [exp.MallowsSource(4, n, phi) for phi, n in cells]
+
+
+def expected_csv(mode, sources, k_values=(1, 2, 3)):
+    """write_csv of the concatenated rows of one config per cell's source."""
     rules = (parse_rule("borda:zero"), parse_rule("copeland"))
     rows = []
-    for phi, n in cells:
-        cfg = exp.ExperimentConfig(exp.MallowsSource(4, n, phi), rules, k_values, 3, 5)
-        rows += run(cfg)
+    for source in sources:
+        rows += exp.run(mode, [exp.ExperimentConfig(source, rules, k_values, 3, 5)])
     buf = io.StringIO()
-    exp.write_csv(rows, buf, columns)
+    exp.write_csv(rows, buf, exp.MODES[mode].columns)
     return buf.getvalue()
 
 
@@ -403,31 +408,49 @@ def test_experiment_success_grid_is_phi_outer_n_inner(capsys):
     code, out, _ = run(capsys, "experiment", "success", *MALLOWS, "--k", "1:3",
                        "--phi", "0.7,1.0", "--n", "20,30")
     assert code == 0
-    assert out == expected_csv(exp.run_success_rate, exp.SUCCESS_COLUMNS,
-                               [(0.7, 20), (0.7, 30), (1.0, 20), (1.0, 30)])
+    assert out == expected_csv("success", mallows_cells(*GRID))
 
 
-@pytest.mark.parametrize("mode, fn, columns, k", [
-    ("ratio", exp.run_ratio, exp.RATIO_COLUMNS, ("--k", "1,2,3")),
-    ("min-k", exp.min_k_search, exp.MIN_K_COLUMNS, ()),
-])
-def test_experiment_ratio_and_min_k_grid_over_n(capsys, mode, fn, columns, k):
+@pytest.mark.parametrize("mode", ["ratio", "min-k"])
+def test_experiment_ratio_and_min_k_grid_over_n(capsys, mode):
+    k = () if mode == "min-k" else ("--k", "1,2,3")
     code, out, _ = run(capsys, "experiment", mode, *MALLOWS, *k, "--phi", "0.8",
                        "--n", "20:30:10")
     assert code == 0
-    assert out == expected_csv(fn, columns, [(0.8, 20), (0.8, 30)])
+    assert out == expected_csv(mode, mallows_cells((0.8, 20), (0.8, 30)))
 
 
-@pytest.mark.parametrize("mode, fn, columns", [
-    ("success", exp.run_success_rate, exp.SUCCESS_COLUMNS),
-    ("ratio", exp.run_ratio, exp.RATIO_COLUMNS),
-    ("min-k", exp.min_k_search, exp.MIN_K_COLUMNS),
-])
-def test_experiment_single_cell_is_one_config(capsys, mode, fn, columns):
+@pytest.mark.parametrize("mode", ["success", "ratio", "min-k"])
+def test_experiment_single_cell_is_one_config(capsys, mode):
     k = () if mode == "min-k" else ("--k", "1,2,3")  # min-k reads every k in 1..m-1
     code, out, _ = run(capsys, "experiment", mode, *MALLOWS, *k, "--phi", "0.9", "--n", "25")
     assert code == 0
-    assert out == expected_csv(fn, columns, [(0.9, 25)])
+    assert out == expected_csv(mode, mallows_cells((0.9, 25)))
+
+
+@pytest.mark.parametrize("mode", ["success", "ratio", "min-k", "real-sweep"])
+def test_experiment_is_one_map_at_any_worker_count(capsys, monkeypatch, example1_soc, mode):
+    # every cell's trials go to the pool in one map, not one map per cell
+    calls = []
+    map_trials = exp._map_trials
+    monkeypatch.setattr(exp, "_map_trials", lambda fn, cfgs, workers: (
+        calls.append(len(cfgs)) or map_trials(fn, cfgs, workers)))
+    if mode == "real-sweep":
+        argv = ("--rule", "borda:zero,copeland", "--trials", "3", "--seed", "5",
+                "--data", str(example1_soc), "--n-star", "10,20,40,62")
+        ds = truncvote.load(example1_soc)
+        sources = [exp.PreflibSource(ds, n_star) for n_star in (10, 20, 40, 62)]
+    else:
+        argv = (*MALLOWS, "--phi", "0.7,1.0", "--n", "20,30")
+        sources = mallows_cells(*GRID)
+    k = () if mode == "min-k" else ("--k", "1:3")
+    outs = []
+    for workers in ("2", "1"):
+        code, out, _ = run(capsys, "experiment", mode, *argv, *k, "--workers", workers)
+        assert code == 0
+        outs.append(out)
+    assert calls == [4, 4]
+    assert outs[0] == outs[1] == expected_csv(mode, sources)
 
 
 def test_experiment_min_k_takes_no_k(capsys):

@@ -17,12 +17,10 @@ from truncvote import (
     Profile,
     TieBreak,
     copeland_adversarial,
-    min_k_search,
     parse_preflib,
     parse_rule,
     price_of_truncation,
     rule_adversarial,
-    run_ratio,
     run_success_rate,
     sweep_real_data,
     write_csv,
@@ -101,7 +99,7 @@ def test_success_rate_row_order_is_rule_major(example1):
 
 def test_ratio_on_fixed_profile(example1):
     cfg = _fixed_cfg(example1, ["borda:zero"], [1, 3])
-    rows = run_ratio(cfg)
+    rows = exp.run("ratio", [cfg])
     assert rows[0]["mean_ratio"] == f"{131 / 77:.6f}"
     assert rows[1]["mean_ratio"] == "1.000000"
     assert rows[0]["inf_count"] == "0"
@@ -115,16 +113,16 @@ def test_ratio_counts_infinite_prices_across_workers():
         FixedSource(copeland_adversarial(5, 2).profile), (parse_rule("copeland"),), (1, 2, 3),
         trials=4, base_seed=0,
     )
-    rows = run_ratio(cfg)
+    rows = exp.run("ratio", [cfg])
     assert [(r["k"], r["mean_ratio"], r["max_ratio"], r["inf_count"]) for r in rows] == [
         ("1", "nan", "nan", "4"), ("2", "nan", "nan", "4"), ("3", "1.000000", "1.000000", "0"),
     ]
-    assert run_ratio(cfg, workers=2) == rows
+    assert exp.run("ratio", [cfg], 2) == rows
 
 
 def test_ratio_rejects_order_based_rules(example1):
     with pytest.raises(DomainError):
-        run_ratio(_fixed_cfg(example1, ["rp"], [2]))
+        exp.run("ratio", [_fixed_cfg(example1, ["rp"], [2])])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -136,16 +134,33 @@ def test_ratio_rejects_real_data_before_any_trial(monkeypatch, workers):
     )
     monkeypatch.setattr(exp, "_map_trials", lambda *args: pytest.fail("a trial ran"))
     with pytest.raises(DomainError, match="need complete profiles"):
-        run_ratio(cfg, workers)
+        exp.run("ratio", [cfg], workers)
+
+
+def test_run_checks_every_config_before_any_trial(monkeypatch, example1):
+    # the config that fails comes last, so a run that checked as it went would
+    # already have run the first one's trials
+    monkeypatch.setattr(exp, "_map_trials", lambda *args: pytest.fail("a trial ran"))
+    rules = (parse_rule("borda:zero"),)
+    mallows = ExperimentConfig(MallowsSource(4, 20, 0.8), rules, (1, 2), 2, 0)
+    real = ExperimentConfig(
+        PreflibSource(parse_preflib(EXAMPLE1_CLASSIC), 30), rules, (1, 2), 2, 0)
+    with pytest.raises(DomainError, match="need complete profiles"):
+        exp.run("ratio", [mallows, real])
+    full = _fixed_cfg(example1, ["copeland"], [1, 2, 3])
+    with pytest.raises(DomainError, match="spanning 1..m-1"):
+        exp.run("min-k", [full, _fixed_cfg(example1, ["copeland"], [1, 2])])
+    with pytest.raises(DomainError, match="needs real-data sources"):
+        exp.run("real-sweep", [real, mallows])
 
 
 def test_min_k_search(example1):
     cfg = _fixed_cfg(example1, ["copeland", "borda:zero"], [1, 2, 3])
-    rows = min_k_search(cfg)
+    rows = exp.run("min-k", [cfg])
     assert rows[0]["min_k"] == "2"  # copeland agrees from k=2 on
     assert rows[1]["min_k"] == "2"  # borda zero: top-1 elects a, top-2 elects d
     with pytest.raises(DomainError):
-        min_k_search(_fixed_cfg(example1, ["copeland"], [1, 3]))
+        exp.run("min-k", [_fixed_cfg(example1, ["copeland"], [1, 3])])
 
 
 # both complete elections tie: 0 and 1 share the top borda, copeland and
@@ -232,7 +247,7 @@ def test_mallows_experiment_is_deterministic():
         base_seed=99,
     )
     assert run_success_rate(cfg) == run_success_rate(cfg)
-    assert run_ratio(cfg) == run_ratio(cfg)
+    assert exp.run("ratio", [cfg]) == exp.run("ratio", [cfg])
 
 
 @pytest.fixture
@@ -259,8 +274,8 @@ def test_mallows_trial_builds_no_ranking_tuple(monkeypatch, fresh_pool, example1
     )
     fixed = _fixed_cfg(example1, ["borda:zero", "copeland"], [1, 2])
     witness = rule_adversarial(rules[0], 6, 3)
-    expected = (run_success_rate(cfg), run_ratio(cfg), run_success_rate(real),
-                run_success_rate(fixed), run_ratio(fixed))
+    expected = (run_success_rate(cfg), exp.run("ratio", [cfg]), run_success_rate(real),
+                run_success_rate(fixed), exp.run("ratio", [fixed]))
     price = price_of_truncation(witness.profile, rules[0], 3)
 
     def encode(*args):
@@ -273,9 +288,9 @@ def test_mallows_trial_builds_no_ranking_tuple(monkeypatch, fresh_pool, example1
     monkeypatch.setattr(ballots_mod, "_orders", decode)
     monkeypatch.setattr(preflib_mod, "_orders", decode)
     for workers in (1, 2):
-        assert (run_success_rate(cfg, workers), run_ratio(cfg, workers),
+        assert (run_success_rate(cfg, workers), exp.run("ratio", [cfg], workers),
                 run_success_rate(real, workers), run_success_rate(fixed, workers),
-                run_ratio(fixed, workers)) == expected
+                exp.run("ratio", [fixed], workers)) == expected
     assert price_of_truncation(witness.profile, rules[0], 3) == price
 
 
@@ -290,8 +305,8 @@ def test_worker_count_does_not_change_results():
     ds = parse_preflib(TOY_MODERN)
     runs = {
         "success": lambda workers: run_success_rate(cfg, workers),
-        "ratio": lambda workers: run_ratio(cfg, workers),
-        "min-k": lambda workers: min_k_search(cfg, workers),
+        "ratio": lambda workers: exp.run("ratio", [cfg], workers),
+        "min-k": lambda workers: exp.run("min-k", [cfg], workers),
         "real-sweep": lambda workers: sweep_real_data(
             ds, [4, 7], [1, 2], [parse_rule("maximin"), parse_rule("borda")], 6, 3,
             workers=workers,
@@ -485,7 +500,7 @@ def test_write_csv_formatting(example1):
 
 
 def test_write_csv_to_path(tmp_path, example1):
-    rows = run_ratio(_fixed_cfg(example1, ["borda:zero"], [1]))
+    rows = exp.run("ratio", [_fixed_cfg(example1, ["borda:zero"], [1])])
     out = tmp_path / "ratios.csv"
     write_csv(rows, out, RATIO_COLUMNS)
     assert out.read_text().splitlines()[0] == ",".join(RATIO_COLUMNS)
